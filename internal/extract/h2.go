@@ -617,9 +617,12 @@ func (b *h2builder) buildBases() {
 }
 
 // fieldSample gathers up to opt.Sample far-field element indices for a
-// node: a deterministic stride over the concatenated partner lists of
-// the node and its ancestors. The partition tiles the matrix, so those
-// lists are disjoint.
+// node, spread evenly over the concatenated partner lists of the node
+// and its ancestors (positions ⌊j·total/budget⌋). The partition tiles
+// the matrix, so those lists are disjoint. An integer stride would
+// both leave the tail of the lists unsampled and alias with periodic
+// element orders (a bus repeats its filaments every NW·NT), seeing one
+// cross-section position only.
 func (b *h2builder) fieldSample(nd *h2node) []int {
 	total := 0
 	for a := nd; a != nil; a = a.parent {
@@ -627,20 +630,19 @@ func (b *h2builder) fieldSample(nd *h2node) []int {
 			total += len(p)
 		}
 	}
-	budget := b.opt.sample()
 	if total == 0 {
 		return nil
 	}
-	stride := 1
-	if total > budget {
-		stride = total / budget
+	budget := b.opt.sample()
+	if budget > total {
+		budget = total
 	}
 	out := make([]int, 0, budget)
 	pos := 0
 	for a := nd; a != nil; a = a.parent {
 		for _, p := range a.partners {
 			for _, ei := range p {
-				if pos%stride == 0 {
+				if pos == len(out)*total/budget {
 					out = append(out, ei)
 					if len(out) == budget {
 						return out
@@ -708,16 +710,27 @@ func (b *h2builder) buildBasis(nd *h2node) {
 // zeroes the residual).
 func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u []float64, ok bool) {
 	res := append([]float64(nil), mat...)
-	norm2 := make([]float64, m)
-	maxNorm0 := 0.0
-	for i := 0; i < m; i++ {
+	rowNorm2 := func(i int) float64 {
 		n2 := 0.0
 		for _, v := range res[i*s : (i+1)*s] {
 			n2 += v * v
 		}
-		norm2[i] = n2
-		if n2 > maxNorm0 {
-			maxNorm0 = n2
+		return n2
+	}
+	// norm2 holds the residual row norms, downdated after every pivot;
+	// ref2 the value each was last computed exactly at. A downdate that
+	// cancels most of ref2 has lost its accuracy, so the norm is
+	// recomputed from the residual row (the LAPACK xGEQP3 safeguard):
+	// pivoting on stale norms picks rows whose residual is rounding
+	// noise, and their interpolation coefficients amplify that noise.
+	norm2 := make([]float64, m)
+	ref2 := make([]float64, m)
+	maxNorm0 := 0.0
+	for i := 0; i < m; i++ {
+		norm2[i] = rowNorm2(i)
+		ref2[i] = norm2[i]
+		if norm2[i] > maxNorm0 {
+			maxNorm0 = norm2[i]
 		}
 	}
 	if maxNorm0 == 0 {
@@ -754,11 +767,11 @@ func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u [
 		for _, v := range prow {
 			pn += v * v
 		}
-		pn = math.Sqrt(pn)
-		if pn == 0 {
-			norm2[p] = 0
+		if pn <= thresh2 {
+			norm2[p] = pn // converged after all
 			continue
 		}
+		pn = math.Sqrt(pn)
 		inv := 1 / pn
 		for j := range prow {
 			prow[j] *= inv
@@ -779,8 +792,9 @@ func rowID(mat []float64, m, s int, tol float64, maxRank int) (pivots []int, u [
 				irow[j] -= d * qv
 			}
 			norm2[i] -= d * d
-			if norm2[i] < 0 {
-				norm2[i] = 0
+			if norm2[i] <= 1e-8*ref2[i] {
+				norm2[i] = rowNorm2(i)
+				ref2[i] = norm2[i]
 			}
 		}
 		pivots = append(pivots, p)

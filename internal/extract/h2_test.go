@@ -394,3 +394,73 @@ func TestRowID(t *testing.T) {
 		t.Fatal("rank-1 cap on a rank-3 matrix did not fail")
 	}
 }
+
+// TestRowIDRejectsNoisePivots: at the default tolerance 1e-8 the
+// squared-norm threshold sits at the rounding level of the downdated
+// row norms, so a row whose residual is pure noise can look like a
+// pivot. The ID must check the residual it actually holds and keep the
+// true rank: every spurious pivot is a basis direction fitted to
+// rounding noise, which the nested operator then amplifies in every
+// matvec.
+func TestRowIDRejectsNoisePivots(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const m, s, r = 60, 80, 3
+	for trial := 0; trial < 50; trial++ {
+		base := make([]float64, r*s)
+		for i := range base {
+			base[i] = rng.NormFloat64()
+		}
+		mat := make([]float64, m*s)
+		for i := 0; i < m; i++ {
+			scale := math.Pow(10, 3*rng.Float64())
+			for q := 0; q < r; q++ {
+				a := scale * rng.NormFloat64()
+				for j := 0; j < s; j++ {
+					mat[i*s+j] += a * base[q*s+j]
+				}
+			}
+		}
+		pivots, _, ok := rowID(mat, m, s, 1e-8, 0)
+		if !ok || len(pivots) != r {
+			t.Fatalf("trial %d: rank %d (ok=%v), want exactly %d", trial, len(pivots), ok, r)
+		}
+	}
+}
+
+// TestFieldSampleSpreadsEvenly: a node's far-field sample must reach the
+// tail of its (and its ancestors') partner lists and must not alias
+// with a periodic element order. Sampling 128 of 1000 elements laid out
+// in period-8 groups (a bus meshed 4x2 per wire) has to cover the whole
+// range and every position within the period.
+func TestFieldSampleSpreadsEvenly(t *testing.T) {
+	elems := make([]int, 1000)
+	for i := range elems {
+		elems[i] = i
+	}
+	root := &h2node{partners: [][]int{elems[600:]}}
+	nd := &h2node{parent: root, partners: [][]int{elems[:600]}}
+	b := &h2builder{opt: H2Options{Sample: 128}}
+	got := b.fieldSample(nd)
+	if len(got) != 128 {
+		t.Fatalf("sampled %d elements, want 128", len(got))
+	}
+	var phase [8]bool
+	maxIdx := 0
+	for _, e := range got {
+		phase[e%8] = true
+		if e > maxIdx {
+			maxIdx = e
+		}
+	}
+	if maxIdx < 990 {
+		t.Errorf("sample stops at element %d of 1000", maxIdx)
+	}
+	for p, seen := range phase {
+		if !seen {
+			t.Errorf("no sample at position %d of the period-8 layout", p)
+		}
+	}
+	if all := b.fieldSample(&h2node{partners: [][]int{elems[:50]}}); len(all) != 50 {
+		t.Errorf("short partner list: sampled %d of 50", len(all))
+	}
+}

@@ -3,17 +3,21 @@
 //
 // Conductor segments and planes are lowered by internal/mesh into a
 // uniform filament set (segments split across their cross-section,
-// planes into overlapping X/Y filament grids); the dense complex branch
-// impedance matrix Zb = R + jω Lp (partial inductances between every
-// filament pair) is assembled and the port impedance solved by nodal
-// analysis: Y = A Zb^{-1} A^T. Skin and proximity effects emerge from
-// the current redistribution among filaments, exactly as in FastHenry.
+// planes into overlapping X/Y filament grids) with branch impedance
+// Zb = R + jω Lp (partial inductances between every filament pair).
+// The dense oracle path LU-factors Zb and reduces the nodal admittance
+// Y = A Zb^{-1} A^T to the port; the iterative paths compress Lp and,
+// like FastHenry, drive the port once per frequency: one preconditioned
+// GMRES on the augmented branch/node system (port.go). Skin and
+// proximity effects emerge from the current redistribution among
+// filaments, exactly as in FastHenry.
 //
-// Substitution note (see DESIGN.md §5): FastHenry accelerates the dense
-// solve with a multipole expansion; at the scales this repository
-// simulates, a direct dense complex LU is exact and fast enough, so the
-// multipole stage is intentionally omitted — it changes run time, never
-// extracted values.
+// Substitution note (see DESIGN.md §5): FastHenry accelerates the solve
+// with a multipole expansion; this package compresses Lp with ACA or
+// nested interpolative bases instead (DESIGN.md §10, §12), and keeps
+// the direct dense complex LU as the oracle and the small-problem
+// default. The choice changes run time, never extracted values beyond
+// the documented 1e-6 tolerance.
 package fasthenry
 
 import (
@@ -118,6 +122,10 @@ type Solver struct {
 
 	opOnce sync.Once
 	op     extract.LOperator // compressed partial inductance (lazy)
+
+	portOnce sync.Once
+	port     *portSystem // port solve structure over op (lazy)
+	portErr  error
 }
 
 // NewSolver lowers the given segments of the layout — plus every
@@ -201,7 +209,7 @@ func (s *Solver) nodeRow(n int) int {
 // compressed partial-inductance operator.
 func (s *Solver) Impedance(f float64) (complex128, error) {
 	if s.iterativeMode() {
-		z, _, err := s.impedanceIterative(f, nil, nil)
+		z, _, err := s.impedancePort(f, nil)
 		return z, err
 	}
 	return s.impedanceDense(f)
@@ -308,8 +316,8 @@ type Point struct {
 	Z    complex128
 	R    float64
 	L    float64
-	// Iters is the total GMRES iteration count across the point's nodal
-	// solves (zero on the dense path and on interpolated points).
+	// Iters is the GMRES iteration count of the point's port solve
+	// (zero on the dense path and on interpolated points).
 	Iters int
 	// Interp marks a point filled by the adaptive sweep's rational
 	// interpolant instead of an exact solve.

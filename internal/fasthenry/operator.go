@@ -2,7 +2,6 @@ package fasthenry
 
 import (
 	"fmt"
-	"math"
 
 	"inductance101/internal/extract"
 	"inductance101/internal/matrix"
@@ -19,10 +18,12 @@ import (
 // (extract.CompressedL): filaments are clustered through
 // mesh.ClusterFilaments, near blocks stay exact through the kernel
 // cache, and well-separated blocks are ACA low-rank factors, so one
-// matvec is near-linear in nf. Each nodal solve then runs restarted
-// GMRES with a block-Jacobi preconditioner built from the per-cluster
-// R + jω L_self diagonal blocks, and frequency sweeps warm-start every
-// point with the previous point's branch currents.
+// matvec is near-linear in nf. The port is then driven once per
+// frequency point, as in FastHenry: one restarted GMRES on the
+// augmented branch/node system, right-preconditioned by the
+// per-cluster R + jω L_self blocks and their sparse nodal Schur
+// complement (port.go), and frequency sweeps warm-start every point
+// with the previous point's branch currents and node voltages.
 
 // SolveMode selects how Solver.Impedance solves the branch system.
 type SolveMode int
@@ -167,10 +168,10 @@ func (s *Solver) iterativeMode() bool {
 	return m == ModeIterative || m == ModeNested
 }
 
-// gmresTol is the relative residual target of each branch-system
-// solve. Together with the ACA tolerance it bounds the iterative vs
-// dense port-impedance mismatch (see DESIGN.md §10: documented at
-// 1e-6 relative).
+// gmresTol is the relative residual target of each port solve (the
+// augmented branch/node system). Together with the ACA tolerance it
+// bounds the iterative vs dense port-impedance mismatch (see DESIGN.md
+// §10: documented at 1e-6 relative).
 const gmresTol = 1e-10
 
 // gmresRestart is the Krylov dimension per GMRES cycle.
@@ -236,7 +237,9 @@ func (z *zbOp) ApplyTo(dst, x []complex128) {
 
 // blockPrecond is the block-Jacobi preconditioner: the per-cluster
 // diagonal blocks of Zb (per-conductor R + L_self coupling), complex-LU
-// factored once per frequency point.
+// factored once per frequency point. Each block carries its own
+// scratch, so applying it allocates nothing; one blockPrecond serves
+// one solve at a time.
 type blockPrecond struct {
 	blocks []precondBlock
 }
@@ -250,6 +253,8 @@ type precondBlock struct {
 	// preconditioner costs GMRES iterations; a NaN-ed sweep costs the
 	// run.
 	dinv []complex128
+	// rhs, x are the block-local gather and solve buffers.
+	rhs, x []complex128
 }
 
 // buildBlockPrecond factors diag(R) + jω L_cc for every diagonal leaf
@@ -270,45 +275,51 @@ func (s *Solver) buildBlockPrecond(op extract.LOperator, omega float64) *blockPr
 				zb.Set(a, b, complex(re, omega*d.V[a*n+b]))
 			}
 		}
+		blk := precondBlock{idx: d.Idx, rhs: make([]complex128, n), x: make([]complex128, n)}
 		lu, err := matrix.FactorComplexLU(zb)
 		if err != nil {
-			dinv := make([]complex128, n)
+			blk.dinv = make([]complex128, n)
 			for a := 0; a < n; a++ {
 				if v := zb.At(a, a); v != 0 {
-					dinv[a] = 1 / v
+					blk.dinv[a] = 1 / v
 				} else {
-					dinv[a] = 1
+					blk.dinv[a] = 1
 				}
 			}
-			p.blocks = append(p.blocks, precondBlock{idx: d.Idx, dinv: dinv})
-			continue
+		} else {
+			blk.lu = lu
 		}
-		p.blocks = append(p.blocks, precondBlock{idx: d.Idx, lu: lu})
+		p.blocks = append(p.blocks, blk)
 	}
 	return p
 }
 
+// solveLocal computes dst = D_c^{-1} rhs over the block's own
+// filaments (block-local indexing; dst and rhs must not alias).
+func (b *precondBlock) solveLocal(dst, rhs []complex128) {
+	if b.lu == nil {
+		for a := range dst {
+			dst[a] = b.dinv[a] * rhs[a]
+		}
+		return
+	}
+	if err := b.lu.SolveTo(dst, rhs); err != nil {
+		// The factorization succeeded, so SolveTo cannot fail; fall
+		// back to the identity on this block out of caution.
+		copy(dst, rhs)
+	}
+}
+
 // apply computes dst = M^{-1} src blockwise.
 func (p *blockPrecond) apply(dst, src []complex128) {
-	for _, b := range p.blocks {
-		if b.lu == nil {
-			for a, i := range b.idx {
-				dst[i] = b.dinv[a] * src[i]
-			}
-			continue
-		}
-		rhs := make([]complex128, len(b.idx))
+	for k := range p.blocks {
+		b := &p.blocks[k]
 		for a, i := range b.idx {
-			rhs[a] = src[i]
+			b.rhs[a] = src[i]
 		}
-		x, err := b.lu.Solve(rhs)
-		if err != nil {
-			// The factorization succeeded, so Solve cannot fail; fall
-			// back to the identity on this block out of caution.
-			copy(x, rhs)
-		}
+		b.solveLocal(b.x, b.rhs)
 		for a, i := range b.idx {
-			dst[i] = x[a]
+			dst[i] = b.x[a]
 		}
 	}
 }
@@ -344,10 +355,10 @@ func (p *saiPrecond) apply(dst, src []complex128) {
 	}
 }
 
-// precondApply builds the configured preconditioner for one frequency
-// point and returns its application closure.
-func (s *Solver) precondApply(op extract.LOperator, omega float64) func(dst, src []complex128) {
-	bj := s.buildBlockPrecond(op, omega)
+// branchPrecond returns the configured branch-block preconditioner
+// over the factored diagonal blocks bj: block-Jacobi itself, or its
+// sparse-approximate-inverse correction.
+func (s *Solver) branchPrecond(bj *blockPrecond, op extract.LOperator, omega float64) func(dst, src []complex128) {
 	if s.precond != PrecondSAI {
 		return bj.apply
 	}
@@ -357,53 +368,4 @@ func (s *Solver) precondApply(op extract.LOperator, omega float64) func(dst, src
 		t1: make([]complex128, nf), t2: make([]complex128, nf),
 	}
 	return sp.apply
-}
-
-// impedanceIterative solves the port impedance at frequency f with
-// restarted, right-preconditioned GMRES through the compressed
-// operator. warm, when non-nil, holds one previous branch-current
-// solution per reduced node (a frequency sweep's warm starts); entries
-// are updated in place. rs, when non-nil, is a Krylov recycling space
-// carried across an adaptive sweep's anchor solves: it is invalidated
-// once for this frequency's operator and then shared by all the nodal
-// solves, which re-project it exactly once. It returns the impedance
-// and the total GMRES iterations across the nodal solves.
-func (s *Solver) impedanceIterative(f float64, warm [][]complex128, rs *matrix.RecycleSpace) (complex128, int, error) {
-	op := s.compressedOp()
-	omega := 2 * math.Pi * f
-	pre := s.precondApply(op, omega)
-	nf := len(s.fils)
-	zop := &zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}
-	nn := s.nNodes - 1
-	y := matrix.NewCDense(nn, nn)
-	col := make([]complex128, nf)
-	iters := 0
-	rs.Invalidate()
-	for k := 0; k < nn; k++ {
-		s.incidenceColumn(col, k)
-		opt := matrix.GMRESOptions{
-			Restart: gmresRestart,
-			Tol:     gmresTol,
-			Precond: pre,
-		}
-		if warm != nil && warm[k] != nil {
-			opt.X0 = warm[k]
-		}
-		w, res, err := matrix.GMRESRecycled(zop, col, opt, rs)
-		if err != nil {
-			return 0, iters, fmt.Errorf("fasthenry: GMRES at %g Hz: %w", f, err)
-		}
-		iters += res.Iters
-		if !res.Converged {
-			return 0, iters, fmt.Errorf(
-				"fasthenry: GMRES stalled at %g Hz (residual %.2e after %d iterations); use the dense solve mode",
-				f, res.Residual, res.Iters)
-		}
-		if warm != nil {
-			warm[k] = w
-		}
-		s.scatterAdmittance(y, k, w)
-	}
-	z, err := s.portSolve(y)
-	return z, iters, err
 }

@@ -101,7 +101,7 @@ func TestIterativeMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatalf("dense at %g: %v", f, err)
 				}
-				zi, it, err := iter.impedanceIterative(f, nil, nil)
+				zi, it, err := iter.impedancePort(f, nil)
 				if err != nil {
 					t.Fatalf("iterative at %g: %v", f, err)
 				}
@@ -151,7 +151,7 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 	}
 	// A warm-started second point must not be harder than its own cold
 	// solve (chunk of 9 points over 3 workers => points 1,2 warm-started).
-	_, cold, err := iter.impedanceIterative(freqs[1], nil, nil)
+	_, cold, err := iter.impedancePort(freqs[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

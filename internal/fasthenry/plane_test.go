@@ -120,3 +120,63 @@ func TestPlaneSolverDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanePortDrivenMatchesDense pins the port-driven iterative solve
+// against the dense oracle on the structure it exists for: both
+// compressed modes reproduce the dense impedance of the microstrip over
+// a plane to 1e-6 relative at every density and frequency.
+func TestPlanePortDrivenMatchesDense(t *testing.T) {
+	lay, segs, port, shorts := microstripOverPlane(t)
+	freqs := LogSpace(1e8, 2e10, 3)
+	for _, nw := range []int{8, 16, 24} {
+		sweep := func(mode SolveMode) []Point {
+			s, err := NewSolver(lay, segs, port, shorts, 2e10, Options{
+				MaxPerSide: 2, PlaneNW: nw, Mode: mode,
+				Cache: extract.PrivateCache(), Workers: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := s.SweepParallel(freqs, 2)
+			if err != nil {
+				t.Fatalf("nw=%d %v: %v", nw, mode, err)
+			}
+			return pts
+		}
+		dense := sweep(ModeDense)
+		for _, mode := range []SolveMode{ModeIterative, ModeNested} {
+			for i, p := range sweep(mode) {
+				if d := relDiff(p.Z, dense[i].Z); d > iterDenseTol {
+					t.Errorf("nw=%d %v at %g Hz: |Z-Zd|/|Zd| = %.3g > %g", nw, mode, freqs[i], d, iterDenseTol)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanePortSolveItersBelowNodeCount guards the mechanism: the
+// iterative paths drive the port with one GMRES per frequency point, so
+// on a plane (hundreds of mesh nodes) a point's iteration count stays
+// below the reduced node count. A regression to one solve per node
+// spends at least one iteration per node and fails here.
+func TestPlanePortSolveItersBelowNodeCount(t *testing.T) {
+	lay, segs, port, shorts := microstripOverPlane(t)
+	s, err := NewSolver(lay, segs, port, shorts, 2e10, Options{
+		MaxPerSide: 2, PlaneNW: 16, Mode: ModeIterative,
+		Cache: extract.PrivateCache(), Workers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced := s.nNodes - 1
+	pts, err := s.SweepParallel(LogSpace(1e8, 2e10, 3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if p.Iters <= 0 || p.Iters >= reduced {
+			t.Errorf("%g Hz: %d GMRES iterations, want 1..%d (below the %d reduced nodes)",
+				p.Freq, p.Iters, reduced-1, reduced)
+		}
+	}
+}

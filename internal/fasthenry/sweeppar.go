@@ -56,9 +56,7 @@ func (s *Solver) SweepParallelCtx(ctx context.Context, freqs []float64, workers 
 	errs := make([]error, len(fs))
 	if s.iterativeMode() {
 		s.compressedOp()
-		sweepIterativeRun(ctx, fs, workers, s.nNodes-1, out, errs, func(f float64, warm [][]complex128) (complex128, int, error) {
-			return s.impedanceIterative(f, warm, nil)
-		})
+		sweepIterativeRun(ctx, fs, workers, out, errs, s.impedancePort)
 	} else {
 		s.sweepDense(ctx, fs, workers, out, errs)
 	}
@@ -128,32 +126,29 @@ func chunkRanges(n, workers int) [][2]int {
 
 // sweepIterativeRun is the chunked warm-started executor of the
 // iterative sweep: each worker owns one contiguous ascending-frequency
-// chunk and a private warm-start state (nWarm slots — one previous
-// solution per reduced node) that carries across the chunk. solve is
-// the per-point solver — injected so tests can drive the scheduling
+// chunk and a private portWork (the previous point's augmented solution
+// and the worker's Schur factor) that carries across the chunk. solve
+// is the per-point solver — injected so tests can drive the scheduling
 // with failures and order probes the real physics cannot produce on
-// demand. On a failed point the worker's warm state is cleared (it may
+// demand. On a failed point the worker's warm start is dropped (it may
 // be mid-update) and the chunk continues cold.
-func sweepIterativeRun(ctx context.Context, fs []float64, workers, nWarm int, out []Point, errs []error,
-	solve func(f float64, warm [][]complex128) (complex128, int, error)) {
+func sweepIterativeRun(ctx context.Context, fs []float64, workers int, out []Point, errs []error,
+	solve func(f float64, w *portWork) (complex128, int, error)) {
 	var wg sync.WaitGroup
 	for _, r := range chunkRanges(len(fs), workers) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			warm := make([][]complex128, nWarm)
+			w := &portWork{}
 			for i := lo; i < hi; i++ {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					return
 				}
-				z, iters, err := solve(fs[i], warm)
+				z, iters, err := solve(fs[i], w)
 				if err != nil {
 					errs[i] = err
-					// Warm state may be mid-update; restart cold.
-					for k := range warm {
-						warm[k] = nil
-					}
+					w.x = nil
 					continue
 				}
 				r, l := RL(z, fs[i])
@@ -179,13 +174,9 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 		// Per-worker sweep state, persistent across anchor batches: the
 		// refine loop mostly adds one anchor at a time, and those solves
 		// keep worker 0's warm vector and recycled basis.
-		type anchorState struct {
-			warm [][]complex128
-			rs   *matrix.RecycleSpace
-		}
-		states := make([]*anchorState, workers)
+		states := make([]*portWork, workers)
 		for w := range states {
-			st := &anchorState{warm: make([][]complex128, s.nNodes-1)}
+			st := &portWork{}
 			if s.recycleDim >= 0 {
 				st.rs = &matrix.RecycleSpace{MaxDim: s.recycleDim}
 			}
@@ -197,7 +188,7 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 			var failed atomic.Bool
 			for w, r := range chunkRanges(len(idxs), workers) {
 				wg.Add(1)
-				go func(st *anchorState, lo, hi int) {
+				go func(st *portWork, lo, hi int) {
 					defer wg.Done()
 					for k := lo; k < hi; k++ {
 						i := idxs[k]
@@ -206,13 +197,11 @@ func (s *Solver) sweepAdaptive(ctx context.Context, fs []float64, workers int) (
 							failed.Store(true)
 							return
 						}
-						z, it, err := s.impedanceIterative(fs[i], st.warm, st.rs)
+						z, it, err := s.impedancePort(fs[i], st)
 						if err != nil {
 							errs[i] = err
 							failed.Store(true)
-							for n := range st.warm {
-								st.warm[n] = nil
-							}
+							st.x = nil
 							return
 						}
 						vals[k] = z

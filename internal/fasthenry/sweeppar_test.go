@@ -65,29 +65,32 @@ func TestChunkRanges(t *testing.T) {
 }
 
 // TestSweepIterativeRunWarmStart drives the chunked executor with a
-// probe solver: within one chunk every point must see the same warm
+// probe solver: within one chunk every point must see the same worker
 // state, in ascending frequency order, and a mid-chunk failure must be
-// recorded at its own index, clear the warm state, and leave the rest
-// of the chunk solving cold.
+// recorded at its own index, drop the warm start, and leave the rest of
+// the chunk solving cold.
 func TestSweepIterativeRunWarmStart(t *testing.T) {
 	fs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	out := make([]Point, len(fs))
 	errs := make([]error, len(fs))
 
 	var mu sync.Mutex
-	orders := map[*[]complex128][]float64{} // warm identity -> visit order
-	sweepIterativeRun(context.Background(), fs, 2, 3, out, errs,
-		func(f float64, warm [][]complex128) (complex128, int, error) {
+	orders := map[*portWork][]float64{} // worker state -> visit order
+	sweepIterativeRun(context.Background(), fs, 2, out, errs,
+		func(f float64, w *portWork) (complex128, int, error) {
 			mu.Lock()
-			orders[&warm[0]] = append(orders[&warm[0]], f)
+			orders[w] = append(orders[w], f)
 			mu.Unlock()
 			if f == 3 {
 				return 0, 0, fmt.Errorf("solver blew up")
 			}
-			if warm[1] != nil && real(warm[1][0]) >= f {
+			if f == 4 && w.x != nil {
+				return 0, 0, fmt.Errorf("warm start survived the failure at f=3")
+			}
+			if w.x != nil && real(w.x[0]) >= f {
 				return 0, 0, fmt.Errorf("warm state from the future at f=%g", f)
 			}
-			warm[1] = []complex128{complex(f, 0)}
+			w.x = []complex128{complex(f, 0)}
 			return complex(f, f), 7, nil
 		})
 
@@ -127,8 +130,8 @@ func TestSweepIterativeRunCancel(t *testing.T) {
 	errs := make([]error, len(fs))
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	sweepIterativeRun(ctx, fs, 1, 1, out, errs,
-		func(f float64, warm [][]complex128) (complex128, int, error) {
+	sweepIterativeRun(ctx, fs, 1, out, errs,
+		func(f float64, w *portWork) (complex128, int, error) {
 			calls++
 			cancel()
 			return complex(f, 0), 1, nil

@@ -58,12 +58,26 @@ func FactorComplexLU(a *CDense) (*CLU, error) {
 
 // Solve solves a*x = b for one right-hand side.
 func (f *CLU) Solve(b []complex128) ([]complex128, error) {
+	x := make([]complex128, f.lu.rows)
+	if err := f.SolveTo(x, b); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveTo is Solve writing into dst (len n) without allocating, for
+// preconditioners that apply the factorization at every iteration.
+// dst and b must not alias.
+func (f *CLU) SolveTo(dst, b []complex128) error {
 	n := f.lu.rows
 	if len(b) != n {
-		return nil, fmt.Errorf("matrix: complex LU solve rhs length %d, want %d", len(b), n)
+		return fmt.Errorf("matrix: complex LU solve rhs length %d, want %d", len(b), n)
+	}
+	if len(dst) != n {
+		return fmt.Errorf("matrix: complex LU solve dst length %d, want %d", len(dst), n)
 	}
 	d := f.lu.data
-	x := make([]complex128, n)
+	x := dst
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -80,9 +94,9 @@ func (f *CLU) Solve(b []complex128) ([]complex128, error) {
 			s -= d[i*n+j] * x[j]
 		}
 		if d[i*n+i] == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		x[i] = s / d[i*n+i]
 	}
-	return x, nil
+	return nil
 }

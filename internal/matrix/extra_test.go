@@ -213,9 +213,28 @@ func TestComplexLUReuse(t *testing.T) {
 			t.Fatalf("CLU and SolveComplex disagree at %d", i)
 		}
 	}
+	// SolveTo into a reused buffer is bit-identical to Solve.
+	dst := make([]complex128, n)
+	for trial := 0; trial < 3; trial++ {
+		for i := range b {
+			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		want, _ := lu.Solve(b)
+		if err := lu.SolveTo(dst, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("trial %d: SolveTo[%d] = %v, Solve %v", trial, i, dst[i], want[i])
+			}
+		}
+	}
 	// Errors.
 	if _, err := lu.Solve(make([]complex128, 3)); err == nil {
 		t.Errorf("bad rhs length accepted")
+	}
+	if err := lu.SolveTo(make([]complex128, 3), b); err == nil {
+		t.Errorf("bad dst length accepted")
 	}
 	if _, err := FactorComplexLU(NewCDense(2, 3)); err == nil {
 		t.Errorf("non-square accepted")

@@ -357,6 +357,8 @@ func GMRESRecycled(op CLinearOperator, b []complex128, opt GMRESOptions, rs *Rec
 	// Deflate with the projected pairs only; a freshly harvested tail
 	// (len(u) > len(c)) waits for the next Invalidate-triggered
 	// projection, so same-operator follow-up solves pay zero applies.
+	// A mid-solve harvest can drop projected pairs (MaxDim displacement),
+	// so every restart cycle re-reads the deflation dimension.
 	kd := len(rs.c)
 	res.RecycledDim = kd
 
@@ -380,6 +382,8 @@ func GMRESRecycled(op CLinearOperator, b []complex128, opt GMRESOptions, rs *Rec
 	var lastHj1 float64
 	harvested := false
 	for {
+		kd = len(rs.c)
+		d = d[:kd]
 		// True residual r0 = b - A x, split into the C component (zeroed
 		// exactly through U) and the deflated remainder the Krylov cycle
 		// works on.

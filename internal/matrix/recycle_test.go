@@ -298,3 +298,39 @@ func TestRecycleSpaceDimensionChange(t *testing.T) {
 	}
 	checkResidual(t, a2, x, b2, 1e-9)
 }
+
+// TestGMRESRecycledRestartsAfterHarvest is the regression test for a
+// mid-solve harvest shrinking the projected basis: with a small MaxDim,
+// a full-length cycle's harvest displaces every projected pair, and the
+// next restart cycle must deflate against what is left rather than the
+// dimension captured when the solve started.
+func TestGMRESRecycledRestartsAfterHarvest(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 120
+	l, r := outlierL(rng, n)
+	b := make([]complex128, n)
+	for i := range b {
+		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	opt := GMRESOptions{Tol: 1e-10, Restart: 8}
+	rs := &RecycleSpace{MaxDim: 3}
+	for i, om := range []float64{2, 2.1, 2.2, 2.3} {
+		a := sweepOperator(rng, n, om, l, r)
+		rs.Invalidate()
+		x, res, err := GMRESRecycled(CDenseOp{a}, b, opt, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("solve %d stalled: residual %.2e after %d iterations", i, res.Residual, res.Iters)
+		}
+		if i > 0 && (res.RecycledDim == 0 || res.Restarts < 3) {
+			t.Fatalf("solve %d: recycled dim %d, %d restarts; the test no longer restarts over a recycled basis",
+				i, res.RecycledDim, res.Restarts)
+		}
+		if rs.Dim() > 3 {
+			t.Fatalf("solve %d: recycled basis grew to %d over MaxDim 3", i, rs.Dim())
+		}
+		checkResidual(t, a, x, b, 1e-9)
+	}
+}

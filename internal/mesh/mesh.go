@@ -67,8 +67,8 @@ type Options struct {
 	// PlaneNW is the number of grid cells along each axis of a plane's
 	// filament mesh: every plane lowers to a PlaneNW x PlaneNW cell
 	// grid (~2·PlaneNW² filaments), whatever its aspect ratio, so the
-	// node count — and with it the nodal solve cost — is bounded by
-	// this knob alone. 0 means DefaultPlaneNW. Values below 2 or above
+	// filament and node counts — and with them the solve cost — are
+	// bounded by this knob alone. 0 means DefaultPlaneNW. Values below 2 or above
 	// MaxPlaneNW are rejected fail-fast: a 1-cell grid cannot
 	// redistribute current and a huge one is a typo that would
 	// allocate millions of filaments.

@@ -40,7 +40,7 @@ const (
 	minFreqHz    = 1.0
 	maxFreqHz    = 1e15
 	// maxPlanesPerJob bounds the conductor planes one job may mesh: each
-	// plane adds ~2·PlaneNW² filaments and PlaneNW² nodal solves, so the
+	// plane adds ~2·PlaneNW² filaments and PlaneNW² mesh nodes, so the
 	// cap (together with the planenw range check) bounds the work a
 	// single request can pin a worker with.
 	maxPlanesPerJob = 8

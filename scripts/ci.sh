@@ -11,6 +11,13 @@ go build ./...
 echo "== go test (unit + golden + property)"
 go test ./...
 
+# perfbench is a separate Go module (it imports this one through a
+# replace directive), so the root ./... skips it; its smoke test runs
+# every benchmark workload at a tiny size and catches API changes that
+# break the benchmark build.
+echo "== perfbench smoke test"
+(cd perfbench && go test ./...)
+
 echo "== go vet"
 go vet ./...
 
