@@ -20,7 +20,6 @@ func TestCLIRejectsUnknownEnumFlags(t *testing.T) {
 		{"inductx", []string{"-kernelcache", "maybe", "nonexistent.json"}},
 		{"inductx", []string{"-l", "verbose", "nonexistent.json"}},
 		{"rlsweep", []string{"-solver", "bogus"}},
-		{"rlsweep", []string{"-precond", "ilu"}},
 		{"rlsweep", []string{"-kernelcache", "maybe"}},
 		{"clocksim", []string{"-kernelcache", "sometimes"}},
 		{"clocksim", []string{"-solver", "hierarchical"}},
@@ -120,7 +119,7 @@ func TestRLSweepAdaptiveVerbose(t *testing.T) {
 func TestRLSweepNestedSolver(t *testing.T) {
 	dir := buildTools(t)
 	cmd := exec.Command(filepath.Join(dir, "rlsweep"),
-		"-solver", "nested", "-precond", "sai", "-workers", "2", "-points", "3", "-v")
+		"-solver", "nested", "-workers", "2", "-points", "3", "-v")
 	var stdout, stderr strings.Builder
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr

@@ -178,9 +178,6 @@ type Config struct {
 	// ACA factors or nested interpolation bases (0 = the
 	// extract/fasthenry default, 1e-8).
 	ACATol float64
-	// Precond selects the iterative paths' preconditioner
-	// (block-Jacobi, or the near-field sparse approximate inverse).
-	Precond fasthenry.Precond
 	// Cache is the kernel-cache policy.
 	Cache CachePolicy
 	// CacheBytes bounds the run's kernel-cache resident footprint in
@@ -240,11 +237,6 @@ func (c Config) Validate() error {
 	case fasthenry.ModeAuto, fasthenry.ModeDense, fasthenry.ModeIterative, fasthenry.ModeNested:
 	default:
 		return fmt.Errorf("engine: unknown solve mode %d", int(c.SolveMode))
-	}
-	switch c.Precond {
-	case fasthenry.PrecondBlockJacobi, fasthenry.PrecondSAI:
-	default:
-		return fmt.Errorf("engine: unknown preconditioner %d", int(c.Precond))
 	}
 	if c.Sparsification < SparsifyNone || c.Sparsification > SparsifyKMatrix {
 		return fmt.Errorf("engine: unknown sparsification %d", int(c.Sparsification))
@@ -366,13 +358,12 @@ func (s *Session) ExtractOptions() extract.Options {
 }
 
 // SolverOptions mints the base fasthenry option set (solve mode, ACA
-// tolerance, preconditioner, cache, workers); callers fill the
+// tolerance, cache, workers); callers fill the
 // discretization fields (NW/NT/MaxPerSide/Rho) per extraction.
 func (s *Session) SolverOptions() fasthenry.Options {
 	return fasthenry.Options{
 		Mode:      s.cfg.SolveMode,
 		ACATol:    s.cfg.ACATol,
-		Precond:   s.cfg.Precond,
 		Cache:     s.cache,
 		Workers:   s.cfg.Workers,
 		SweepMode: s.cfg.SweepMode,

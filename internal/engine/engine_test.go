@@ -19,8 +19,7 @@ func TestZeroConfigInheritsDefaults(t *testing.T) {
 		t.Errorf("zero config minted non-inheriting policy %+v", pol)
 	}
 	opt := s.SolverOptions()
-	if opt.Mode != fasthenry.ModeAuto || opt.ACATol != 0 || opt.Workers != 0 ||
-		opt.Precond != fasthenry.PrecondBlockJacobi {
+	if opt.Mode != fasthenry.ModeAuto || opt.ACATol != 0 || opt.Workers != 0 {
 		t.Errorf("zero config minted non-inheriting solver options %+v", opt)
 	}
 	eo := s.ExtractOptions()
@@ -35,7 +34,6 @@ func TestConfigValidate(t *testing.T) {
 		{MOROrder: -2},
 		{Cache: CachePolicy(99)},
 		{SolveMode: fasthenry.SolveMode(42)},
-		{Precond: fasthenry.Precond(7)},
 		{Sparsification: Sparsification(-1)},
 		{Sparsification: SparsifyKMatrix + 1},
 		{CacheBytes: -1},
@@ -59,8 +57,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	good := []Config{
 		{SolveMode: fasthenry.ModeNested},
-		{Precond: fasthenry.PrecondSAI},
-		{SolveMode: fasthenry.ModeNested, Precond: fasthenry.PrecondSAI},
 		{Cache: CachePrivate, CacheBytes: 1 << 20}, // zero CacheBytes = unbounded, positive = cap
 		{SweepMode: sweep.ModeAdaptive, SweepTol: 1e-8},
 		{SweepMode: sweep.ModeExact},

@@ -2,11 +2,9 @@ package extract
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"inductance101/internal/geom"
-	"inductance101/internal/matrix"
 )
 
 // Hierarchically compressed partial-inductance operator.
@@ -41,11 +39,12 @@ import (
 // the same partition to nested bases for the 10⁵ regime.
 //
 // Construction is two-phase so it parallelizes over the cluster tree:
-// a serial geometric partition lists the diagonal, near and admissible
-// blocks (no kernel evaluations), then workers claim blocks from the
-// lists and fill them concurrently through the shared lock-striped
-// kernel cache. Far blocks whose ACA hits the break-even rank cap are
-// re-partitioned into their children between waves. Every block's
+// the serial geometric partition shared with h2.go (partition.go) lists
+// the diagonal, near and admissible blocks (no kernel evaluations),
+// then workers claim blocks from the lists and fill them concurrently
+// through the shared lock-striped kernel cache. Far blocks whose ACA
+// hits the break-even rank cap are re-partitioned into their children
+// between waves. Every block's
 // content depends only on its own index lists, and blocks are stored in
 // partition order, so the operator is bit-identical at any worker
 // count.
@@ -70,10 +69,6 @@ type LOperator interface {
 	ApplyTo(dst, x []float64)
 	// ApplyCTo computes dst = L*x over complex vectors (no aliasing).
 	ApplyCTo(dst, x []complex128)
-	// ApplyNearCTo computes dst = N*x where N holds only the exact
-	// off-diagonal near-field blocks — the sparse pattern the
-	// approximate-inverse preconditioner corrects over.
-	ApplyNearCTo(dst, x []complex128)
 	// EachUpper visits every strictly-upper-triangle entry once.
 	EachUpper(fn func(i, j int, v float64))
 }
@@ -166,13 +161,6 @@ func (o ACAOptions) eta() float64 {
 	return o.Eta
 }
 
-// denseBlock is an exactly stored interaction block. For diagonal
-// blocks rows and cols are the same slice.
-type denseBlock struct {
-	rows, cols []int
-	v          []float64 // len(rows) x len(cols), row-major
-}
-
 // lowRankBlock approximates an interaction block as U Vᵀ with k
 // rank-one terms: u is k x len(rows), v is k x len(cols), row-major by
 // term.
@@ -232,124 +220,16 @@ func (s CompressStats) CompressionRatio() float64 {
 // for concurrent ApplyTo/ApplyCTo/Diag/EachUpper calls — a frequency
 // sweep shares one operator across all worker goroutines.
 type CompressedL struct {
-	n     int
-	diag  []denseBlock
-	near  []denseBlock
+	nearField
 	far   []lowRankBlock
 	stats CompressStats
-	// elemBlock/elemPos locate each element's diagonal block for O(1)
-	// Diag lookups and the block-Jacobi preconditioner.
-	elemBlock []int32
-	elemPos   []int32
-	maxK      int
+	maxK  int
 }
 
 var _ LOperator = (*CompressedL)(nil)
 
-// Dim returns the operator dimension.
-func (c *CompressedL) Dim() int { return c.n }
-
 // Stats returns the compression summary.
 func (c *CompressedL) Stats() CompressStats { return c.stats }
-
-// DiagBlock holds one diagonal leaf cluster: the element indices and
-// the exact dense block over them (len(Idx)² row-major). The returned
-// slices are views into the operator — callers must not modify them.
-type DiagBlock struct {
-	Idx []int
-	V   []float64
-}
-
-// DiagBlocks returns the diagonal leaf blocks, the basis of the
-// block-Jacobi preconditioner in internal/fasthenry.
-func (c *CompressedL) DiagBlocks() []DiagBlock {
-	return diagBlockViews(c.diag)
-}
-
-func diagBlockViews(diag []denseBlock) []DiagBlock {
-	out := make([]DiagBlock, len(diag))
-	for i, b := range diag {
-		out[i] = DiagBlock{Idx: b.rows, V: b.v}
-	}
-	return out
-}
-
-// Diag returns the exact diagonal entry L[i][i].
-func (c *CompressedL) Diag(i int) float64 {
-	b := &c.diag[c.elemBlock[i]]
-	p := int(c.elemPos[i])
-	return b.v[p*len(b.cols)+p]
-}
-
-// applyDiagDense accumulates the symmetric dense diagonal blocks.
-func applyDiagDense(diag []denseBlock, dst, x []float64) {
-	for bi := range diag {
-		b := &diag[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			s := 0.0
-			for bidx, v := range row {
-				s += v * x[b.cols[bidx]]
-			}
-			dst[i] += s
-		}
-	}
-}
-
-// applyNearDense accumulates the off-diagonal dense blocks both ways.
-func applyNearDense(near []denseBlock, dst, x []float64) {
-	for bi := range near {
-		b := &near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			s := 0.0
-			for bidx, v := range row {
-				s += v * x[b.cols[bidx]]
-			}
-			dst[i] += s
-			// Transpose side: dst[cols] += row * x[i].
-			xi := x[i]
-			for bidx, v := range row {
-				dst[b.cols[bidx]] += v * xi
-			}
-		}
-	}
-}
-
-func applyDiagDenseC(diag []denseBlock, dst, x []complex128) {
-	for bi := range diag {
-		b := &diag[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			var s complex128
-			for bidx, v := range row {
-				s += complex(v, 0) * x[b.cols[bidx]]
-			}
-			dst[i] += s
-		}
-	}
-}
-
-func applyNearDenseC(near []denseBlock, dst, x []complex128) {
-	for bi := range near {
-		b := &near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			var s complex128
-			xi := x[i]
-			for bidx, v := range row {
-				cv := complex(v, 0)
-				s += cv * x[b.cols[bidx]]
-				dst[b.cols[bidx]] += cv * xi
-			}
-			dst[i] += s
-		}
-	}
-}
 
 // ApplyTo computes dst = L*x over real vectors. dst and x must not
 // alias and have length Dim.
@@ -357,11 +237,7 @@ func (c *CompressedL) ApplyTo(dst, x []float64) {
 	if len(dst) != c.n || len(x) != c.n {
 		panic("extract: CompressedL ApplyTo dimension mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDense(c.diag, dst, x)
-	applyNearDense(c.near, dst, x)
+	c.applyTo(dst, x)
 	t := make([]float64, c.maxK)
 	for bi := range c.far {
 		b := &c.far[bi]
@@ -407,11 +283,7 @@ func (c *CompressedL) ApplyCTo(dst, x []complex128) {
 	if len(dst) != c.n || len(x) != c.n {
 		panic("extract: CompressedL ApplyCTo dimension mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDenseC(c.diag, dst, x)
-	applyNearDenseC(c.near, dst, x)
+	c.applyCTo(dst, x)
 	t := make([]complex128, c.maxK)
 	for bi := range c.far {
 		b := &c.far[bi]
@@ -449,33 +321,12 @@ func (c *CompressedL) ApplyCTo(dst, x []complex128) {
 	}
 }
 
-// ApplyNearCTo computes dst = N*x over the exact off-diagonal near
-// blocks only — the sparse near-field pattern the approximate-inverse
-// preconditioner in internal/fasthenry corrects over. dst and x must
-// not alias and have length Dim.
-func (c *CompressedL) ApplyNearCTo(dst, x []complex128) {
-	if len(dst) != c.n || len(x) != c.n {
-		panic("extract: CompressedL ApplyNearCTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyNearDenseC(c.near, dst, x)
-}
-
 // EachUpper visits every strictly-upper-triangle entry (i < j, value
 // possibly an ACA approximation on far blocks) exactly once, in block
 // order. Cross-direction pairs, which are identically zero, are not
 // visited.
 func (c *CompressedL) EachUpper(fn func(i, j int, v float64)) {
-	eachUpperDense(c.diag, c.near, fn)
-	emit := func(i, j int, v float64) {
-		if i < j {
-			fn(i, j, v)
-		} else {
-			fn(j, i, v)
-		}
-	}
+	c.eachUpper(fn)
 	for bi := range c.far {
 		b := &c.far[bi]
 		m, n := len(b.rows), len(b.cols)
@@ -485,142 +336,20 @@ func (c *CompressedL) EachUpper(fn func(i, j int, v float64)) {
 				for k := 0; k < b.k; k++ {
 					s += b.u[k*m+a] * b.v[k*n+j]
 				}
-				emit(i, cj, s)
+				emitUpper(fn, i, cj, s)
 			}
 		}
 	}
 }
 
-// eachUpperDense walks the diagonal and near dense blocks shared by
-// both operator representations.
-func eachUpperDense(diag, near []denseBlock, fn func(i, j int, v float64)) {
-	emit := func(i, j int, v float64) {
-		if i < j {
-			fn(i, j, v)
-		} else {
-			fn(j, i, v)
-		}
-	}
-	for bi := range diag {
-		b := &diag[bi]
-		nc := len(b.cols)
-		for a := range b.rows {
-			for bidx := a + 1; bidx < nc; bidx++ {
-				emit(b.rows[a], b.cols[bidx], b.v[a*nc+bidx])
-			}
-		}
-	}
-	for bi := range near {
-		b := &near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			for bidx, j := range b.cols {
-				emit(i, j, b.v[a*nc+bidx])
-			}
-		}
-	}
-}
-
-// nodeBounds is the cached geometry of one cluster-tree node.
-type nodeBounds struct {
-	axisLo, axisHi   float64
-	crossLo, crossHi float64 // inflated by element radii
-	zLo, zHi         float64 // inflated by element radii
-}
-
-func (b nodeBounds) crossExtent() float64 {
-	return math.Hypot(b.crossHi-b.crossLo, b.zHi-b.zLo)
-}
-
-func gap(aLo, aHi, bLo, bHi float64) float64 {
-	if aHi < bLo {
-		return bLo - aHi
-	}
-	if bHi < aLo {
-		return aLo - bHi
-	}
-	return 0
-}
-
-// elemBounds computes the bounding box of the given elements, inflated
-// by their cross-section radii.
-func elemBounds(elems []HElement, idx []int) nodeBounds {
-	var b nodeBounds
-	for i, ei := range idx {
-		e := &elems[ei]
-		if i == 0 {
-			b = nodeBounds{
-				axisLo: e.A0, axisHi: e.A1,
-				crossLo: e.Cross - e.Rad, crossHi: e.Cross + e.Rad,
-				zLo: e.Z - e.Rad, zHi: e.Z + e.Rad,
-			}
-			continue
-		}
-		b.axisLo = math.Min(b.axisLo, e.A0)
-		b.axisHi = math.Max(b.axisHi, e.A1)
-		b.crossLo = math.Min(b.crossLo, e.Cross-e.Rad)
-		b.crossHi = math.Max(b.crossHi, e.Cross+e.Rad)
-		b.zLo = math.Min(b.zLo, e.Z-e.Rad)
-		b.zHi = math.Max(b.zHi, e.Z+e.Rad)
-	}
-	return b
-}
-
-// boundsAdmissible reports whether two bounded clusters are smooth
-// enough to compress: separated in the cross plane by more than eta
-// times their combined cross extents, or — for collinear clusters —
-// separated along the routing axis by more than eta times their
-// combined axis extents. Either separation bounds the kernel away from
-// its near-field singularity across the whole block.
-func boundsAdmissible(ba, bb nodeBounds, eta float64) bool {
-	crossDist := math.Hypot(
-		gap(ba.crossLo, ba.crossHi, bb.crossLo, bb.crossHi),
-		gap(ba.zLo, ba.zHi, bb.zLo, bb.zHi),
-	)
-	if crossDist > 0 && crossDist >= eta*(ba.crossExtent()+bb.crossExtent()) {
-		return true
-	}
-	axisGap := gap(ba.axisLo, ba.axisHi, bb.axisLo, bb.axisHi)
-	if axisGap > 0 && axisGap >= eta*((ba.axisHi-ba.axisLo)+(bb.axisHi-bb.axisLo)) {
-		return true
-	}
-	return false
-}
-
+// compressor carries the flat build's state: the shared partition,
+// whose far pairs it compresses, and the operator it fills.
 type compressor struct {
-	elems   []HElement
-	entry   func(i, j int) float64
-	opt     ACAOptions
-	bounds  map[*ElemTree]nodeBounds
-	op      *CompressedL
-	near    int64 // kernel entries into diagonal/near blocks (atomic)
-	farEv   int64 // kernel entries sampled by ACA (atomic)
-	workers int
-
-	// Partition output, in deterministic order.
-	diagSpecs []*ElemTree
-	nearSpecs [][2]*ElemTree
-	farCands  []farCand
-}
-
-type farCand struct {
-	a, b  *ElemTree
-	level int
-}
-
-func (c *compressor) boundsOf(t *ElemTree) nodeBounds {
-	if b, ok := c.bounds[t]; ok {
-		return b
-	}
-	b := elemBounds(c.elems, t.Elems)
-	c.bounds[t] = b
-	return b
-}
-
-// admissible reports whether the (a, b) interaction block is smooth
-// enough to compress.
-func (c *compressor) admissible(a, b *ElemTree) bool {
-	return boundsAdmissible(c.boundsOf(a), c.boundsOf(b), c.opt.eta())
+	entry func(i, j int) float64 // symmetric kernel
+	opt   ACAOptions
+	part  *blockPartition
+	op    *CompressedL
+	farEv atomic.Int64 // kernel entries sampled by ACA
 }
 
 // CompressL builds the flat hierarchically compressed operator over
@@ -632,98 +361,31 @@ func (c *compressor) admissible(a, b *ElemTree) bool {
 // and each tree must hold elements of a single direction.
 func CompressL(elems []HElement, trees []*ElemTree, entry func(i, j int) float64, opt ACAOptions) *CompressedL {
 	c := &compressor{
-		elems:   elems,
-		entry:   entry,
-		opt:     opt,
-		bounds:  make(map[*ElemTree]nodeBounds),
-		op:      &CompressedL{n: len(elems)},
-		workers: opt.Workers,
+		entry: symmetric(entry),
+		opt:   opt,
+		part:  partition(elems, trees, opt.eta()),
+		op:    &CompressedL{},
 	}
-	for _, t := range trees {
-		c.visitSelf(t)
-	}
-	// Cross-direction tree pairs couple nothing (zero blocks) and are
-	// skipped entirely; within-direction roots are each a single tree.
-	c.fillBlocks()
-	c.op.elemBlock = make([]int32, len(elems))
-	c.op.elemPos = make([]int32, len(elems))
-	for bi, b := range c.op.diag {
-		for p, i := range b.rows {
-			c.op.elemBlock[i] = int32(bi)
-			c.op.elemPos[i] = int32(p)
-		}
-	}
+	c.fillFar()
+	c.op.nearField = c.part.fillNear(c.entry, opt.Workers)
 	c.finishStats()
 	return c.op
 }
 
-// visitSelf partitions a tree against itself: leaves become dense
-// diagonal blocks, sibling interactions are partitioned into near and
-// admissible far candidates. Pure geometry — no kernel evaluations.
-func (c *compressor) visitSelf(t *ElemTree) {
-	if t.Left == nil {
-		c.diagSpecs = append(c.diagSpecs, t)
-		return
+// fillFar compresses the partition's far pairs in parallel waves: each
+// wave runs ACA on the current pairs concurrently; pairs whose ACA
+// fails are subdivided, and the pairs that yields form the next wave.
+// Block content depends only on its own index lists and factors land
+// in partition order, so the result is identical at every worker count.
+func (c *compressor) fillFar() {
+	type farResult struct {
+		u, v []float64
+		k    int
+		ok   bool
 	}
-	c.visitSelf(t.Left)
-	c.visitSelf(t.Right)
-	c.visitPair(t.Left, t.Right)
-}
-
-func (c *compressor) visitPair(a, b *ElemTree) {
-	if len(a.Elems) == 0 || len(b.Elems) == 0 {
-		return
-	}
-	if c.admissible(a, b) {
-		lvl := a.Level
-		if b.Level > lvl {
-			lvl = b.Level
-		}
-		c.farCands = append(c.farCands, farCand{a: a, b: b, level: lvl})
-		return
-	}
-	c.subdividePair(a, b)
-}
-
-// subdividePair recurses an inadmissible (or ACA-failed) pair one step
-// down, mirroring the classic H-matrix partition.
-func (c *compressor) subdividePair(a, b *ElemTree) {
-	aLeaf, bLeaf := a.Left == nil, b.Left == nil
-	switch {
-	case aLeaf && bLeaf:
-		c.nearSpecs = append(c.nearSpecs, [2]*ElemTree{a, b})
-	case aLeaf:
-		c.visitPair(a, b.Left)
-		c.visitPair(a, b.Right)
-	case bLeaf:
-		c.visitPair(a.Left, b)
-		c.visitPair(a.Right, b)
-	case len(a.Elems) >= len(b.Elems):
-		c.visitPair(a.Left, b)
-		c.visitPair(a.Right, b)
-	default:
-		c.visitPair(a, b.Left)
-		c.visitPair(a, b.Right)
-	}
-}
-
-// fillBlocks evaluates the partitioned blocks in parallel waves: all
-// diagonal/near blocks plus the current far candidates are filled
-// concurrently; far candidates whose ACA fails are re-partitioned and
-// their replacement blocks filled in the next wave. Block content
-// depends only on its own index lists and blocks land in partition
-// order, so the result is identical at every worker count.
-func (c *compressor) fillBlocks() {
-	for wave := 0; len(c.farCands) > 0 || wave == 0; wave++ {
-		cands := c.farCands
-		c.farCands = nil
-		type farResult struct {
-			u, v []float64
-			k    int
-			ok   bool
-		}
+	for cands := c.part.takeFar(); len(cands) > 0; cands = c.part.takeFar() {
 		results := make([]farResult, len(cands))
-		parallelItems(c.workers, len(cands), func(i int) {
+		parallelItems(c.opt.Workers, len(cands), func(i int) {
 			u, v, k, ok := c.aca(cands[i].a.Elems, cands[i].b.Elems)
 			results[i] = farResult{u: u, v: v, k: k, ok: ok}
 		})
@@ -733,104 +395,20 @@ func (c *compressor) fillBlocks() {
 					rows: cands[i].a.Elems, cols: cands[i].b.Elems,
 					u: r.u, v: r.v, k: r.k, level: cands[i].level,
 				})
-				if r.k > c.op.maxK {
-					c.op.maxK = r.k
-				}
+				c.op.maxK = max(c.op.maxK, r.k)
 				continue
 			}
 			// The block refused to converge within the break-even rank:
 			// subdivide (or store dense at the leaves) next wave.
-			c.subdividePair(cands[i].a, cands[i].b)
+			c.part.subdivide(cands[i].a, cands[i].b)
 		}
 	}
-	// All dense blocks are known now; fill them concurrently.
-	c.op.diag = make([]denseBlock, len(c.diagSpecs))
-	parallelItems(c.workers, len(c.diagSpecs), func(i int) {
-		c.op.diag[i] = c.buildDiag(c.diagSpecs[i].Elems)
-	})
-	c.op.near = make([]denseBlock, len(c.nearSpecs))
-	parallelItems(c.workers, len(c.nearSpecs), func(i int) {
-		c.op.near[i] = c.buildNear(c.nearSpecs[i][0].Elems, c.nearSpecs[i][1].Elems)
-	})
-}
-
-// parallelItems runs fn(0..n-1) across workers goroutines with an
-// atomic work counter (item costs vary wildly — top-level far blocks
-// dominate — so fine-grained stealing balances best). workers <= 0
-// means the process default; 1 runs inline.
-func parallelItems(workers, n int, fn func(i int)) {
-	if workers <= 0 {
-		workers = matrix.Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// entryNear evaluates the symmetric kernel into a dense block with
-// canonical argument order.
-func (c *compressor) entryNear(i, j int) float64 {
-	atomic.AddInt64(&c.near, 1)
-	if i <= j {
-		return c.entry(i, j)
-	}
-	return c.entry(j, i)
 }
 
 // entryFar evaluates the symmetric kernel as an ACA sample.
 func (c *compressor) entryFar(i, j int) float64 {
-	atomic.AddInt64(&c.farEv, 1)
-	if i <= j {
-		return c.entry(i, j)
-	}
-	return c.entry(j, i)
-}
-
-func (c *compressor) buildDiag(idx []int) denseBlock {
-	n := len(idx)
-	v := make([]float64, n*n)
-	for a := 0; a < n; a++ {
-		v[a*n+a] = c.entryNear(idx[a], idx[a])
-		for b := a + 1; b < n; b++ {
-			e := c.entryNear(idx[a], idx[b])
-			v[a*n+b] = e
-			v[b*n+a] = e
-		}
-	}
-	return denseBlock{rows: idx, cols: idx, v: v}
-}
-
-func (c *compressor) buildNear(rows, cols []int) denseBlock {
-	m, n := len(rows), len(cols)
-	v := make([]float64, m*n)
-	for a, i := range rows {
-		for b, j := range cols {
-			v[a*n+b] = c.entryNear(i, j)
-		}
-	}
-	return denseBlock{rows: rows, cols: cols, v: v}
+	c.farEv.Add(1)
+	return c.entry(i, j)
 }
 
 // aca runs partially pivoted adaptive cross approximation on the block
@@ -949,17 +527,8 @@ func (c *compressor) aca(rows, cols []int) (u, v []float64, rank int, ok bool) {
 }
 
 func (c *compressor) finishStats() {
-	st := &c.op.stats
-	st.N = c.op.n
-	st.DiagBlocks = len(c.op.diag)
-	st.NearBlocks = len(c.op.near)
+	st := c.op.nearField.stats()
 	st.FarBlocks = len(c.op.far)
-	for _, b := range c.op.diag {
-		st.StoredFloats += len(b.v)
-	}
-	for _, b := range c.op.near {
-		st.StoredFloats += len(b.v)
-	}
 	ranks := 0
 	byLevel := make(map[int]*LevelStats)
 	for _, b := range c.op.far {
@@ -986,11 +555,9 @@ func (c *compressor) finishStats() {
 		st.AvgRank = float64(ranks) / float64(len(c.op.far))
 	}
 	st.Levels = sortedLevels(byLevel)
-	st.DenseFloats = c.op.n * c.op.n
-	st.NearKernelEvals = int(c.near)
-	st.FarKernelEvals = int(c.farEv)
+	st.FarKernelEvals = int(c.farEv.Load())
 	st.KernelEvals = st.NearKernelEvals + st.FarKernelEvals
-	st.DenseKernelEntries = c.op.n * (c.op.n + 1) / 2
+	c.op.stats = st
 }
 
 // sortedLevels orders the per-level stats by depth and finalizes the

@@ -36,13 +36,13 @@ import (
 //     prolongating the results back to elements. Near and diagonal
 //     blocks stay exact dense, identical to the flat path.
 //
-// Construction parallelizes over the cluster tree: the partition is
-// serial geometry, then bases are built level by level (deepest
-// first) with nodes of a level fanned out across workers, and
-// coupling/near/diagonal blocks are filled concurrently through the
-// shared kernel cache. Every block and basis depends only on its own
-// deterministic index lists, so the operator is bit-identical at any
-// worker count.
+// Construction parallelizes over the cluster tree: the partition
+// (partition.go, shared with the flat operator) is serial geometry,
+// then bases are built level by level (deepest first) with nodes of a
+// level fanned out across workers, and coupling/near/diagonal blocks
+// are filled concurrently through the shared kernel cache. Every block
+// and basis depends only on its own deterministic index lists, so the
+// operator is bit-identical at any worker count.
 //
 // Degraded paths are exact, not approximate: a basis that cannot reach
 // the tolerance within H2Options.MaxRank marks its node (and, since
@@ -135,46 +135,24 @@ type h2coupling struct {
 // the same products in different orders, so ⟨e_i, L e_j⟩ and
 // ⟨e_j, L e_i⟩ agree to rounding, not bit-exactly.
 type H2L struct {
-	n     int
-	diag  []denseBlock
-	near  []denseBlock
+	nearField
 	nodes []*h2node // post-order: children before parents
 	coups []h2coupling
 	wsize int // Σ k over nodes with bases
 	stats CompressStats
-
-	elemBlock []int32
-	elemPos   []int32
 }
 
 var _ LOperator = (*H2L)(nil)
 
-// Dim returns the operator dimension.
-func (h *H2L) Dim() int { return h.n }
-
 // Stats returns the compression summary.
 func (h *H2L) Stats() CompressStats { return h.stats }
-
-// DiagBlocks returns the dense diagonal leaf blocks.
-func (h *H2L) DiagBlocks() []DiagBlock { return diagBlockViews(h.diag) }
-
-// Diag returns the exact diagonal entry L[i][i].
-func (h *H2L) Diag(i int) float64 {
-	b := &h.diag[h.elemBlock[i]]
-	p := int(h.elemPos[i])
-	return b.v[p*len(b.cols)+p]
-}
 
 // ApplyTo computes dst = L*x over real vectors (no aliasing).
 func (h *H2L) ApplyTo(dst, x []float64) {
 	if len(dst) != h.n || len(x) != h.n {
 		panic("extract: H2L ApplyTo dimension mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDense(h.diag, dst, x)
-	applyNearDense(h.near, dst, x)
+	h.applyTo(dst, x)
 	xhat := make([]float64, h.wsize)
 	yhat := make([]float64, h.wsize)
 	// Upward: children before parents, so a transfer reads finished
@@ -264,11 +242,7 @@ func (h *H2L) ApplyCTo(dst, x []complex128) {
 	if len(dst) != h.n || len(x) != h.n {
 		panic("extract: H2L ApplyCTo dimension mismatch")
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyDiagDenseC(h.diag, dst, x)
-	applyNearDenseC(h.near, dst, x)
+	h.applyCTo(dst, x)
 	xhat := make([]complex128, h.wsize)
 	yhat := make([]complex128, h.wsize)
 	for _, nd := range h.nodes {
@@ -350,31 +324,12 @@ func (h *H2L) ApplyCTo(dst, x []complex128) {
 	}
 }
 
-// ApplyNearCTo computes dst = N*x over the exact off-diagonal near
-// blocks only (no aliasing).
-func (h *H2L) ApplyNearCTo(dst, x []complex128) {
-	if len(dst) != h.n || len(x) != h.n {
-		panic("extract: H2L ApplyNearCTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	applyNearDenseC(h.near, dst, x)
-}
-
 // EachUpper visits every strictly-upper-triangle entry once (coupling
 // entries are the nested-basis approximation). Cross-direction pairs,
 // identically zero, are not visited. Cost is O(n) per coupled element
 // pair — use for inspection and small exports, not in solves.
 func (h *H2L) EachUpper(fn func(i, j int, v float64)) {
-	eachUpperDense(h.diag, h.near, fn)
-	emit := func(i, j int, v float64) {
-		if i < j {
-			fn(i, j, v)
-		} else {
-			fn(j, i, v)
-		}
-	}
+	h.eachUpper(fn)
 	memo := make(map[*h2node][]float64)
 	for ci := range h.coups {
 		cp := &h.coups[ci]
@@ -405,7 +360,7 @@ func (h *H2L) EachUpper(fn func(i, j int, v float64)) {
 				for q, wv := range wrow {
 					s += wv * vrow[q]
 				}
-				emit(ei, ej, s)
+				emitUpper(fn, ei, ej, s)
 			}
 		}
 	}
@@ -461,21 +416,16 @@ func (h *H2L) vfull(nd *h2node, memo map[*h2node][]float64) []float64 {
 
 // h2builder carries the construction state.
 type h2builder struct {
-	elems   []HElement
-	entry   func(i, j int) float64
-	opt     H2Options
-	bounds  map[*ElemTree]nodeBounds
-	workers int
+	entry func(i, j int) float64 // symmetric kernel
+	opt   H2Options
+	part  *blockPartition
 
-	byTree    map[*ElemTree]*h2node
-	nodes     []*h2node // post-order across all trees
-	diagSpecs []*ElemTree
-	nearSpecs [][2]*ElemTree
-	cands     [][2]*h2node // admissible pairs, partition order
-	coups     []h2coupling
+	byTree map[*ElemTree]*h2node
+	nodes  []*h2node    // post-order across all trees
+	cands  [][2]*h2node // admissible pairs, partition order
+	coups  []h2coupling
 
-	near  int64 // kernel entries into dense blocks (atomic)
-	farEv int64 // kernel entries into bases/couplings (atomic)
+	farEv atomic.Int64 // kernel entries into bases/couplings
 
 	op *H2L
 }
@@ -486,25 +436,28 @@ type h2builder struct {
 // calls.
 func CompressLH2(elems []HElement, trees []*ElemTree, entry func(i, j int) float64, opt H2Options) *H2L {
 	b := &h2builder{
-		elems:   elems,
-		entry:   entry,
-		opt:     opt,
-		bounds:  make(map[*ElemTree]nodeBounds),
-		workers: opt.Workers,
-		byTree:  make(map[*ElemTree]*h2node),
-		op:      &H2L{n: len(elems)},
+		entry:  symmetric(entry),
+		opt:    opt,
+		byTree: make(map[*ElemTree]*h2node),
+		op:     &H2L{},
 	}
 	for _, t := range trees {
 		b.wrap(t, nil)
 	}
-	for _, t := range trees {
-		b.visitSelf(t)
+	// The shared partition's admissible pairs become basis-coupling
+	// candidates anchored at the pair's nodes instead of per-pair ACA
+	// factors; each endpoint records the other as a partner.
+	b.part = partition(elems, trees, opt.eta())
+	for _, fp := range b.part.takeFar() {
+		na, nb := b.byTree[fp.a], b.byTree[fp.b]
+		na.partners = append(na.partners, fp.b.Elems)
+		nb.partners = append(nb.partners, fp.a.Elems)
+		b.cands = append(b.cands, [2]*h2node{na, nb})
 	}
 	b.buildBases()
 	b.resolveCouplings()
-	b.fillDense()
+	b.op.nearField = b.part.fillNear(b.entry, opt.Workers)
 	b.assignOffsets()
-	b.op.elemBlock, b.op.elemPos = buildElemIndex(len(elems), b.op.diag)
 	b.finishStats()
 	return b.op
 }
@@ -519,58 +472,6 @@ func (b *h2builder) wrap(t *ElemTree, parent *h2node) *h2node {
 	b.byTree[t] = nd
 	b.nodes = append(b.nodes, nd)
 	return nd
-}
-
-func (b *h2builder) boundsOf(t *ElemTree) nodeBounds {
-	if bb, ok := b.bounds[t]; ok {
-		return bb
-	}
-	bb := elemBounds(b.elems, t.Elems)
-	b.bounds[t] = bb
-	return bb
-}
-
-// visitSelf/visitPair partition a tree exactly like the flat
-// compressor, but admissible pairs become basis-coupling candidates
-// anchored at the pair's nodes instead of per-pair ACA factors.
-func (b *h2builder) visitSelf(t *ElemTree) {
-	if t.Left == nil {
-		b.diagSpecs = append(b.diagSpecs, t)
-		return
-	}
-	b.visitSelf(t.Left)
-	b.visitSelf(t.Right)
-	b.visitPair(t.Left, t.Right)
-}
-
-func (b *h2builder) visitPair(ta, tb *ElemTree) {
-	if len(ta.Elems) == 0 || len(tb.Elems) == 0 {
-		return
-	}
-	if boundsAdmissible(b.boundsOf(ta), b.boundsOf(tb), b.opt.eta()) {
-		na, nb := b.byTree[ta], b.byTree[tb]
-		na.partners = append(na.partners, tb.Elems)
-		nb.partners = append(nb.partners, ta.Elems)
-		b.cands = append(b.cands, [2]*h2node{na, nb})
-		return
-	}
-	aLeaf, bLeaf := ta.Left == nil, tb.Left == nil
-	switch {
-	case aLeaf && bLeaf:
-		b.nearSpecs = append(b.nearSpecs, [2]*ElemTree{ta, tb})
-	case aLeaf:
-		b.visitPair(ta, tb.Left)
-		b.visitPair(ta, tb.Right)
-	case bLeaf:
-		b.visitPair(ta.Left, tb)
-		b.visitPair(ta.Right, tb)
-	case len(ta.Elems) >= len(tb.Elems):
-		b.visitPair(ta.Left, tb)
-		b.visitPair(ta.Right, tb)
-	default:
-		b.visitPair(ta, tb.Left)
-		b.visitPair(ta, tb.Right)
-	}
 }
 
 // buildBases marks every coupling endpoint and its subtree as needing a
@@ -610,7 +511,7 @@ func (b *h2builder) buildBases() {
 	}
 	for lvl := maxLevel; lvl >= 0; lvl-- {
 		level := byLevel[lvl]
-		parallelItems(b.workers, len(level), func(i int) {
+		parallelItems(b.opt.Workers, len(level), func(i int) {
 			b.buildBasis(level[i])
 		})
 	}
@@ -680,14 +581,10 @@ func (b *h2builder) buildBasis(nd *h2node) {
 	mat := make([]float64, m*s)
 	for a, ri := range rows {
 		for c, cj := range cols {
-			if ri <= cj {
-				mat[a*s+c] = b.entry(ri, cj)
-			} else {
-				mat[a*s+c] = b.entry(cj, ri)
-			}
+			mat[a*s+c] = b.entry(ri, cj)
 		}
 	}
-	atomic.AddInt64(&b.farEv, int64(m*s))
+	b.farEv.Add(int64(m * s))
 	pivots, u, ok := rowID(mat, m, s, b.opt.tol(), b.opt.MaxRank)
 	if !ok {
 		nd.failed = true
@@ -843,7 +740,7 @@ func (b *h2builder) resolveCouplings() {
 			route(na, nb.left)
 			route(na, nb.right)
 		case na.left == nil && nb.left == nil:
-			b.nearSpecs = append(b.nearSpecs, [2]*ElemTree{na.t, nb.t})
+			b.part.near = append(b.part.near, [2]*ElemTree{na.t, nb.t})
 		case na.left != nil:
 			// The bad side is an unsplittable leaf; descend the good
 			// side to dense leaf-leaf blocks.
@@ -857,20 +754,16 @@ func (b *h2builder) resolveCouplings() {
 	for _, pair := range b.cands {
 		route(pair[0], pair[1])
 	}
-	parallelItems(b.workers, len(b.coups), func(i int) {
+	parallelItems(b.opt.Workers, len(b.coups), func(i int) {
 		cp := &b.coups[i]
 		ka, kb := cp.a.k, cp.b.k
 		s := make([]float64, ka*kb)
 		for p, ri := range cp.a.skel {
 			for q, cj := range cp.b.skel {
-				if ri <= cj {
-					s[p*kb+q] = b.entry(ri, cj)
-				} else {
-					s[p*kb+q] = b.entry(cj, ri)
-				}
+				s[p*kb+q] = b.entry(ri, cj)
 			}
 		}
-		atomic.AddInt64(&b.farEv, int64(ka*kb))
+		b.farEv.Add(int64(ka * kb))
 		cp.s = s
 	})
 	// Drop rank-zero couplings (an endpoint whose far field vanished);
@@ -883,45 +776,6 @@ func (b *h2builder) resolveCouplings() {
 	}
 	b.coups = kept
 	b.op.coups = b.coups
-}
-
-// fillDense evaluates the diagonal and near blocks in parallel.
-func (b *h2builder) fillDense() {
-	entry := func(i, j int) float64 {
-		if i <= j {
-			return b.entry(i, j)
-		}
-		return b.entry(j, i)
-	}
-	b.op.diag = make([]denseBlock, len(b.diagSpecs))
-	parallelItems(b.workers, len(b.diagSpecs), func(bi int) {
-		idx := b.diagSpecs[bi].Elems
-		n := len(idx)
-		v := make([]float64, n*n)
-		for a := 0; a < n; a++ {
-			v[a*n+a] = entry(idx[a], idx[a])
-			for c := a + 1; c < n; c++ {
-				e := entry(idx[a], idx[c])
-				v[a*n+c] = e
-				v[c*n+a] = e
-			}
-		}
-		atomic.AddInt64(&b.near, int64(n*(n+1)/2))
-		b.op.diag[bi] = denseBlock{rows: idx, cols: idx, v: v}
-	})
-	b.op.near = make([]denseBlock, len(b.nearSpecs))
-	parallelItems(b.workers, len(b.nearSpecs), func(bi int) {
-		rows, cols := b.nearSpecs[bi][0].Elems, b.nearSpecs[bi][1].Elems
-		m, n := len(rows), len(cols)
-		v := make([]float64, m*n)
-		for a, i := range rows {
-			for c, j := range cols {
-				v[a*n+c] = entry(i, j)
-			}
-		}
-		atomic.AddInt64(&b.near, int64(m*n))
-		b.op.near[bi] = denseBlock{rows: rows, cols: cols, v: v}
-	})
 }
 
 // assignOffsets lays the per-node skeleton coefficients out in one flat
@@ -938,33 +792,10 @@ func (b *h2builder) assignOffsets() {
 	b.op.nodes = b.nodes
 }
 
-// buildElemIndex maps each element to its diagonal block and position,
-// shared by both compressed operators for O(1) Diag lookups.
-func buildElemIndex(n int, diag []denseBlock) (blk, pos []int32) {
-	blk = make([]int32, n)
-	pos = make([]int32, n)
-	for bi, db := range diag {
-		for p, i := range db.rows {
-			blk[i] = int32(bi)
-			pos[i] = int32(p)
-		}
-	}
-	return blk, pos
-}
-
 func (b *h2builder) finishStats() {
-	st := &b.op.stats
-	st.N = b.op.n
+	st := b.op.nearField.stats()
 	st.Nested = true
-	st.DiagBlocks = len(b.op.diag)
-	st.NearBlocks = len(b.op.near)
 	st.FarBlocks = len(b.op.coups)
-	for _, db := range b.op.diag {
-		st.StoredFloats += len(db.v)
-	}
-	for _, db := range b.op.near {
-		st.StoredFloats += len(db.v)
-	}
 	byLevel := make(map[int]*LevelStats)
 	levelOf := func(lvl int) *LevelStats {
 		ls := byLevel[lvl]
@@ -1019,11 +850,9 @@ func (b *h2builder) finishStats() {
 		st.AvgRank = float64(ranks) / float64(len(b.op.coups))
 	}
 	st.Levels = sortedLevels(byLevel)
-	st.DenseFloats = b.op.n * b.op.n
-	st.NearKernelEvals = int(b.near)
-	st.FarKernelEvals = int(b.farEv)
+	st.FarKernelEvals = int(b.farEv.Load())
 	st.KernelEvals = st.NearKernelEvals + st.FarKernelEvals
-	st.DenseKernelEntries = b.op.n * (b.op.n + 1) / 2
+	b.op.stats = st
 }
 
 // CompressInductanceH2 builds the nested-basis partial-inductance

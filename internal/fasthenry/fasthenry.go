@@ -62,9 +62,6 @@ type Options struct {
 	// tolerance in ModeIterative, the interpolative-basis tolerance in
 	// ModeNested (default 1e-8 for both).
 	ACATol float64
-	// Precond selects the iterative paths' preconditioner. The zero
-	// value is PrecondBlockJacobi.
-	Precond Precond
 	// Cache names the kernel cache the solver's partial-inductance
 	// entries go through. The zero value is the process-default shared
 	// cache (honoring the deprecated extract.SetKernelCache switch);
@@ -112,7 +109,6 @@ type Solver struct {
 
 	mode    SolveMode
 	acaTol  float64
-	precond Precond
 	cache   extract.CacheRef
 	workers int
 
@@ -146,7 +142,7 @@ func NewSolver(l *geom.Layout, segs []int, port Port, shorts [][2]string, fRef f
 		fils:   m.Filaments,
 		entry:  extract.FilamentEntry(m.Filaments, opt.Cache),
 		nNodes: m.NumNodes(), plus: plus, minus: minus,
-		mode: opt.Mode, acaTol: opt.ACATol, precond: opt.Precond,
+		mode: opt.Mode, acaTol: opt.ACATol,
 		cache: opt.Cache, workers: opt.Workers,
 		sweepMode: opt.SweepMode, sweepTol: opt.SweepTol,
 		recycleDim: opt.RecycleDim,
@@ -204,7 +200,7 @@ func (s *Solver) nodeRow(n int) int {
 }
 
 // Impedance returns the complex port impedance at frequency f (Hz),
-// using the configured solve mode (see SetSolveMode): the dense complex
+// using the configured solve mode (see Options.Mode): the dense complex
 // LU oracle, or matrix-free GMRES through the hierarchically
 // compressed partial-inductance operator.
 func (s *Solver) Impedance(f float64) (complex128, error) {

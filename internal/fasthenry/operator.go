@@ -84,73 +84,13 @@ func ParseSolveMode(s string) (SolveMode, error) {
 	return ModeAuto, fmt.Errorf("fasthenry: unknown solve mode %q (want dense, iterative, nested or auto)", s)
 }
 
-// Precond selects the preconditioner of the iterative solve paths.
-type Precond int
-
-const (
-	// PrecondBlockJacobi is the per-cluster block-Jacobi preconditioner
-	// (the default): the diagonal leaf blocks of R + jωL, complex-LU
-	// factored once per frequency point.
-	PrecondBlockJacobi Precond = iota
-	// PrecondSAI is a sparse approximate inverse over the near-field
-	// pattern: one Neumann correction of block-Jacobi through the exact
-	// off-diagonal near blocks, M⁻¹ = D⁻¹ − D⁻¹ (jω L_near) D⁻¹. It
-	// costs one extra near-field matvec and block solve per
-	// application and cuts GMRES iterations on tightly coupled layouts
-	// where the nearest-neighbour coupling dominates.
-	PrecondSAI
-)
-
-// String returns the CLI spelling of the preconditioner.
-func (p Precond) String() string {
-	switch p {
-	case PrecondSAI:
-		return "sai"
-	default:
-		return "bjacobi"
-	}
-}
-
-// ParsePrecond parses the -precond CLI flag value.
-func ParsePrecond(s string) (Precond, error) {
-	switch s {
-	case "bjacobi":
-		return PrecondBlockJacobi, nil
-	case "sai":
-		return PrecondSAI, nil
-	}
-	return PrecondBlockJacobi, fmt.Errorf("fasthenry: unknown preconditioner %q (want bjacobi or sai)", s)
-}
-
-// SetSolveMode selects the solve path. Call before the first solve:
-// the dense matrix and the compressed operator are each built once, on
-// first use by their respective paths.
-//
-// Deprecated: set Options.Mode when constructing the solver (or build
-// it through an engine.Session); mutating a shared solver races with
-// concurrent sweeps.
-func (s *Solver) SetSolveMode(m SolveMode) { s.mode = m }
-
 // SolveModeInUse reports the mode Impedance will actually run
 // (ModeAuto resolved against the filament count).
 func (s *Solver) SolveModeInUse() SolveMode { return s.effectiveMode() }
 
-// SetACATol sets the relative tolerance of the ACA low-rank far-field
-// blocks (default 1e-8). It must be called before the first iterative
-// solve; the compressed operator is built once and cached.
-//
-// Deprecated: set Options.ACATol when constructing the solver (or
-// build it through an engine.Session).
-func (s *Solver) SetACATol(tol float64) { s.acaTol = tol }
-
 func (s *Solver) effectiveMode() SolveMode {
-	switch s.mode {
-	case ModeDense:
-		return ModeDense
-	case ModeIterative:
-		return ModeIterative
-	case ModeNested:
-		return ModeNested
+	if s.mode != ModeAuto {
+		return s.mode
 	}
 	switch {
 	case len(s.fils) >= AutoNestedThreshold:
@@ -322,50 +262,4 @@ func (p *blockPrecond) apply(dst, src []complex128) {
 			dst[i] = b.x[a]
 		}
 	}
-}
-
-// saiPrecond is the sparse-approximate-inverse preconditioner: a
-// one-term Neumann correction of block-Jacobi over the operator's
-// exact near-field pattern,
-//
-//	M⁻¹ src = D⁻¹ src − D⁻¹ (jω L_near) D⁻¹ src,
-//
-// with D the factored diagonal blocks and L_near the off-diagonal
-// dense near blocks. It approximates the inverse over the full sparse
-// near pattern (the strongest couplings GMRES otherwise has to iterate
-// away) at one extra near-field matvec and block solve per
-// application.
-type saiPrecond struct {
-	bj     *blockPrecond
-	op     extract.LOperator
-	omega  float64
-	t1, t2 []complex128
-}
-
-func (p *saiPrecond) apply(dst, src []complex128) {
-	p.bj.apply(p.t1, src)
-	p.op.ApplyNearCTo(p.t2, p.t1)
-	jw := complex(0, p.omega)
-	for i := range p.t2 {
-		p.t2[i] *= jw
-	}
-	p.bj.apply(dst, p.t2)
-	for i := range dst {
-		dst[i] = p.t1[i] - dst[i]
-	}
-}
-
-// branchPrecond returns the configured branch-block preconditioner
-// over the factored diagonal blocks bj: block-Jacobi itself, or its
-// sparse-approximate-inverse correction.
-func (s *Solver) branchPrecond(bj *blockPrecond, op extract.LOperator, omega float64) func(dst, src []complex128) {
-	if s.precond != PrecondSAI {
-		return bj.apply
-	}
-	nf := len(s.fils)
-	sp := &saiPrecond{
-		bj: bj, op: op, omega: omega,
-		t1: make([]complex128, nf), t2: make([]complex128, nf),
-	}
-	return sp.apply
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"inductance101/internal/extract"
 	"inductance101/internal/geom"
 )
 
@@ -86,16 +87,16 @@ func TestIterativeMatchesDense(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l, segs, port, shorts := tc.build()
-			dense, err := NewSolver(l, segs, port, shorts, tc.fRef, tc.opt)
+			denseOpt, iterOpt := tc.opt, tc.opt
+			denseOpt.Mode, iterOpt.Mode = ModeDense, ModeIterative
+			dense, err := NewSolver(l, segs, port, shorts, tc.fRef, denseOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dense.SetSolveMode(ModeDense)
-			iter, err := NewSolver(l, segs, port, shorts, tc.fRef, tc.opt)
+			iter, err := NewSolver(l, segs, port, shorts, tc.fRef, iterOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			iter.SetSolveMode(ModeIterative)
 			for _, f := range freqs {
 				zd, err := dense.Impedance(f)
 				if err != nil {
@@ -124,11 +125,10 @@ func TestIterativeMatchesDense(t *testing.T) {
 func TestIterativeSweepWarmStarts(t *testing.T) {
 	l, segs, port, shorts := busLayout(6, 600e-6, 2e-6, 6e-6)
 	mk := func(mode SolveMode) *Solver {
-		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 3, NT: 2})
+		s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 3, NT: 2, Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSolveMode(mode)
 		return s
 	}
 	freqs := LogSpace(1e8, 2e10, 9)
@@ -165,11 +165,10 @@ func TestIterativeSweepWarmStarts(t *testing.T) {
 // sync.Once build must be safe to share across sweep workers.
 func TestIterativeSweepSharedOperatorParallel(t *testing.T) {
 	l, segs, port, shorts := busLayout(5, 500e-6, 2e-6, 6e-6)
-	s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2})
+	s, err := NewSolver(l, segs, port, shorts, 20e9, Options{NW: 2, NT: 2, Mode: ModeIterative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSolveMode(ModeIterative)
 	pts, err := s.SweepParallel(LogSpace(1e8, 1e10, 8), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -250,6 +249,75 @@ func TestCompressedOperatorMatvecProperty(t *testing.T) {
 	}
 }
 
+// TestCompressedOperatorPartitionPinned pins the block partition both
+// compressed operators share (extract's partition stage): block counts,
+// ranks, kernel-evaluation counts and storage on the benchmark loop bus
+// must not move at any worker count, and the two operators' diagonal
+// blocks must be bit-identical — one partition, one near-field fill.
+// The values match the rows of BENCH_fasthenry.json.
+func TestCompressedOperatorPartitionPinned(t *testing.T) {
+	// (FarBlocks, MaxRank, NearKernelEvals, FarKernelEvals,
+	// StoredFloats, DiagBlocks, NearBlocks)
+	type pinned [7]int
+	cases := []struct {
+		wires             int
+		iterative, nested pinned
+	}{
+		{36, pinned{7, 9, 26064, 4968, 36072, 8, 16}, pinned{7, 7, 26064, 32382, 33893, 8, 16}},
+		{98, pinned{65, 8, 88679, 65549, 148144, 32, 131}, pinned{105, 10, 62215, 167938, 91435, 32, 87}},
+		{256, pinned{152, 9, 224256, 229440, 454208, 64, 186}, pinned{213, 11, 161792, 426840, 244183, 64, 125}},
+	}
+	for _, tc := range cases {
+		l, segs, port, shorts := loopBus(tc.wires)
+		for _, workers := range []int{1, 2} {
+			var diags [][]extract.DiagBlock
+			for _, m := range []struct {
+				mode SolveMode
+				want pinned
+			}{{ModeIterative, tc.iterative}, {ModeNested, tc.nested}} {
+				s, err := NewSolver(l, segs, port, shorts, 2e10,
+					Options{NW: 4, NT: 2, Mode: m.mode, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := s.OperatorStats()
+				got := pinned{st.FarBlocks, st.MaxRank, st.NearKernelEvals, st.FarKernelEvals,
+					st.StoredFloats, st.DiagBlocks, st.NearBlocks}
+				if got != m.want {
+					t.Errorf("%d wires, %v, %d workers: stats %v, want %v",
+						tc.wires, m.mode, workers, got, m.want)
+				}
+				diags = append(diags, s.compressedOp().DiagBlocks())
+			}
+			if !diagBlocksIdentical(diags[0], diags[1]) {
+				t.Errorf("%d wires, %d workers: flat and nested diagonal blocks differ", tc.wires, workers)
+			}
+		}
+	}
+}
+
+func diagBlocksIdentical(a, b []extract.DiagBlock) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if len(a[k].Idx) != len(b[k].Idx) || len(a[k].V) != len(b[k].V) {
+			return false
+		}
+		for i := range a[k].Idx {
+			if a[k].Idx[i] != b[k].Idx[i] {
+				return false
+			}
+		}
+		for i := range a[k].V {
+			if math.Float64bits(a[k].V[i]) != math.Float64bits(b[k].V[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestAutoModeThreshold pins the auto-mode policy: small problems stay
 // on the dense oracle (golden CLI outputs depend on it), large ones
 // switch to the iterative path.
@@ -265,7 +333,10 @@ func TestAutoModeThreshold(t *testing.T) {
 	if got := s.SolveModeInUse(); got != ModeDense {
 		t.Errorf("auto mode on %d filaments resolved to %v, want dense", s.NumFilaments(), got)
 	}
-	s.SetSolveMode(ModeIterative)
+	s, err = NewSolver(l, segs, port, shorts, 1e9, Options{NW: 1, NT: 1, Mode: ModeIterative})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := s.SolveModeInUse(); got != ModeIterative {
 		t.Errorf("explicit iterative resolved to %v", got)
 	}

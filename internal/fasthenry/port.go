@@ -223,7 +223,7 @@ func (s *Solver) impedancePort(f float64, w *portWork) (complex128, int, error) 
 	nf := ps.nf
 	k := &portOp{ps: ps, zb: &zbOp{s: s, omega: omega, op: op, scratch: make([]complex128, nf)}}
 	pre := &portPrecond{
-		ps: ps, sf: sf, branch: s.branchPrecond(bj, op, omega),
+		ps: ps, sf: sf, bj: bj,
 		t: make([]complex128, nf), scratch: make([]complex128, ps.nn),
 	}
 	b := make([]complex128, nf+ps.nn)
@@ -275,11 +275,11 @@ func (k *portOp) ApplyTo(dst, x []complex128) {
 }
 
 // portPrecond applies P⁻¹ for P = [D −Aᵀ; 0 S]: V = S⁻¹ r_V, then
-// I = D⁻¹ (r_I + Aᵀ V), with D⁻¹ the configured branch preconditioner.
+// I = D⁻¹ (r_I + Aᵀ V), with D⁻¹ the block-Jacobi branch preconditioner.
 type portPrecond struct {
 	ps         *portSystem
 	sf         *matrix.SparseCLU
-	branch     func(dst, src []complex128)
+	bj         *blockPrecond
 	t, scratch []complex128
 }
 
@@ -301,5 +301,5 @@ func (p *portPrecond) apply(dst, src []complex128) {
 		}
 		p.t[f] = t
 	}
-	p.branch(dst[:nf], p.t)
+	p.bj.apply(dst[:nf], p.t)
 }

@@ -2,6 +2,7 @@ package layoutio
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -67,10 +68,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlaneRoundTrip drives a plane with holes and edge rails through
-// the wire schema and back: every field must survive, and the parsed
-// layout must pass geometry validation.
-func TestPlaneRoundTrip(t *testing.T) {
+// planeLayout is a signal over a perforated plane with three edge
+// rails.
+func planeLayout() *geom.Layout {
 	lay := geom.NewLayout(grid.StandardLayers())
 	lay.AddSegment(geom.Segment{
 		Layer: 1, Dir: geom.DirX, X0: 0, Y0: 0,
@@ -84,6 +84,14 @@ func TestPlaneRoundTrip(t *testing.T) {
 			{X0: 6e-4, Y0: -8e-6, X1: 7e-4, Y1: 8e-6},
 		},
 	})
+	return lay
+}
+
+// TestPlaneRoundTrip drives a plane with holes and edge rails through
+// the wire schema and back: every field must survive, and the parsed
+// layout must pass geometry validation.
+func TestPlaneRoundTrip(t *testing.T) {
+	lay := planeLayout()
 	if err := lay.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,36 +118,78 @@ func TestPlaneRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadErrors(t *testing.T) {
-	cases := []string{
-		``,
-		`{}`,
-		`{"layers":[{"name":"M","z":0,"thickness":0,"sheet_rho":1,"h_below":1}]}`,
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+// invalidDocs are documents Read must reject.
+var invalidDocs = []string{
+	``,
+	`{}`,
+	`{"layers":[{"name":"M","z":0,"thickness":0,"sheet_rho":1,"h_below":1}]}`,
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "segments":[{"layer":0,"dir":"Z","x0":0,"y0":0,"length":1,"width":1,
 		               "net":"n","node_a":"a","node_b":"b"}]}`,
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "segments":[{"layer":5,"dir":"X","x0":0,"y0":0,"length":1,"width":1,
 		               "net":"n","node_a":"a","node_b":"b"}]}`,
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "segments":[{"layer":0,"dir":"X","x0":0,"y0":0,"length":0,"width":1,
 		               "net":"n","node_a":"a","node_b":"b"}]}`,
-		`{"unknown_field": 1}`,
-		// Plane rejections: layer out of range, empty extent, all four
-		// rails floating, hole outside the plane extent.
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+	`{"unknown_field": 1}`,
+	// Plane rejections: layer out of range, empty extent, all four
+	// rails floating, hole outside the plane extent.
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "planes":[{"layer":3,"x0":0,"y0":0,"x1":1e-3,"y1":1e-3,"node_left":"p0"}]}`,
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "planes":[{"layer":0,"x0":0,"y0":0,"x1":0,"y1":1e-3,"node_left":"p0"}]}`,
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "planes":[{"layer":0,"x0":0,"y0":0,"x1":1e-3,"y1":1e-3}]}`,
-		`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
+	`{"layers":[{"name":"M","z":0,"thickness":1e-6,"sheet_rho":0.1,"h_below":1e-6}],
 		  "planes":[{"layer":0,"x0":0,"y0":0,"x1":1e-3,"y1":1e-3,"node_left":"p0",
 		             "holes":[{"x0":-1e-4,"y0":0,"x1":1e-4,"y1":1e-4}]}]}`,
-	}
-	for i, c := range cases {
+}
+
+func TestReadErrors(t *testing.T) {
+	for i, c := range invalidDocs {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted invalid document", i)
 		}
 	}
+}
+
+// FuzzLayoutJSON throws arbitrary bytes at Read, the entry point of
+// every tool that takes a layout file. Read must never panic, and any
+// document it accepts must survive Write and a second Read unchanged.
+func FuzzLayoutJSON(f *testing.F) {
+	f.Add([]byte(sampleDoc))
+	var buf bytes.Buffer
+	if err := Write(&buf, planeLayout()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// A plane with rails on all four edges, tied to a segment by a via.
+	f.Add([]byte(`{"layers":[{"name":"M1","z":1e-6,"thickness":1e-6,"sheet_rho":0.05,"h_below":1e-6},
+	  {"name":"M2","z":3e-6,"thickness":1e-6,"sheet_rho":0.02,"h_below":1e-6}],
+	 "segments":[{"layer":1,"dir":"y","x0":5e-5,"y0":0,"length":2e-4,"width":2e-6,"net":"s","node_a":"a","node_b":"b"}],
+	 "planes":[{"layer":0,"x0":0,"y0":0,"x1":1e-4,"y1":1e-4,"net":"GND",
+	   "node_left":"l","node_right":"r","node_bottom":"d","node_top":"u",
+	   "holes":[{"x0":2e-5,"y0":2e-5,"x1":4e-5,"y1":4e-5}]}],
+	 "vias":[{"x":5e-5,"y":0,"layer_lo":0,"layer_hi":1,"resistance":0.5,"net":"GND","node_lo":"d","node_hi":"a"}]}`))
+	for _, doc := range invalidDocs {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		lay, err := Read(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := Write(&out, lay); err != nil {
+			t.Fatalf("accepted layout does not serialize: %v", err)
+		}
+		back, err := Read(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read of a written layout failed: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(FromLayout(back), FromLayout(lay)) {
+			t.Fatalf("Write→Read changed the layout:\n%s", out.Bytes())
+		}
+	})
 }

@@ -272,6 +272,7 @@ func TestRejectsStructured400(t *testing.T) {
 	}{
 		{"malformed", []byte(`{`), "invalid job JSON"},
 		{"unknown-field", []byte(`{"bogus":1}`), "bogus"},
+		{"retired-precond", []byte(`{"config":{"precond":"sai"}}`), "precond"},
 		{"no-layout", testJob(t, func(j *jobJSON) { j.Layout = nil }), "missing layout"},
 		{"bad-priority", testJob(t, func(j *jobJSON) { p := 9; j.Priority = &p }), "priority 9"},
 		{"zero-points", testJob(t, func(j *jobJSON) { j.Points = 0 }), "points 0"},

@@ -18,6 +18,14 @@ go test ./...
 echo "== perfbench smoke test"
 (cd perfbench && go test ./...)
 
+# Bounded fuzz smoke: the three untrusted-input parsers (layout JSON
+# read by every tool, the job server's request body, SPICE decks) each
+# get a short mutation run on top of their seed corpora.
+echo "== fuzz smoke (10s per target)"
+go test ./internal/layoutio -run '^$' -fuzz '^FuzzLayoutJSON$' -fuzztime 10s
+go test ./internal/serve -run '^$' -fuzz '^FuzzJobRequest$' -fuzztime 10s
+go test ./internal/circuit -run '^$' -fuzz '^FuzzParseSPICE$' -fuzztime 10s
+
 echo "== go vet"
 go vet ./...
 
@@ -46,8 +54,10 @@ echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, gr
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh
 
 # No new mutable package-level tuning state: process-wide Set* switches
-# are frozen to the three deprecated shims. Run configuration belongs in
-# engine.Config / the per-layer option structs, not globals.
+# are frozen to the three deprecated shims (matrix.SetWorkers,
+# sim.SetSparseThreshold, extract.SetKernelCache), and no solver carries
+# setter methods for its configuration any more. Run configuration
+# belongs in engine.Config / the per-layer option structs.
 echo "== no new package-level Set* tuning switches"
 setters=$(grep -rnE '^func Set[A-Z]' internal cmd --include='*.go' \
 	| grep -v '_test\.go' \
