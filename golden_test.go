@@ -140,6 +140,21 @@ func TestGoldenRLSweepPlane(t *testing.T) {
 		"-plane", "-planenw", "8", "-points", "7"))
 }
 
+// The compressed-operator goldens: the same plane workload through
+// each matrix-free solver, so a change to either operator's apply
+// kernel that moves a single bit of the GMRES trajectory shows up here.
+func TestGoldenRLSweepPlaneIterative(t *testing.T) {
+	dir := buildTools(t)
+	checkGolden(t, "rlsweep_plane_iterative", runTool(t, filepath.Join(dir, "rlsweep"),
+		"-plane", "-planenw", "16", "-points", "7", "-solver", "iterative", "-workers", "1"))
+}
+
+func TestGoldenRLSweepPlaneNested(t *testing.T) {
+	dir := buildTools(t)
+	checkGolden(t, "rlsweep_plane_nested", runTool(t, filepath.Join(dir, "rlsweep"),
+		"-plane", "-planenw", "16", "-points", "7", "-solver", "nested", "-workers", "1"))
+}
+
 func TestGoldenInductx(t *testing.T) {
 	dir := buildTools(t)
 	bin := filepath.Join(dir, "inductx")
