@@ -269,18 +269,25 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 	}
 
 	// Adaptive-sweep benchmark: the 2048-filament case swept at 200
-	// points/decade over 3 decades. Exact iterative mode solves all 601
-	// points with warm-started GMRES; adaptive mode solves a few dozen
-	// rational-fit anchors with recycled GMRES and interpolates the
-	// rest. A third run disables Krylov recycling (warm starts only,
-	// RecycleDim=-1) to isolate the recycling win on the anchor solves.
+	// points/decade over 3 decades, one row per worker column. Exact
+	// iterative mode solves all 601 points with warm-started GMRES;
+	// adaptive mode solves a few dozen rational-fit anchors with recycled
+	// GMRES and interpolates the rest. A third run disables Krylov
+	// recycling (warm starts only, RecycleDim=-1) to isolate the
+	// recycling win on the anchor solves.
+	//
+	// The 5x floor is asserted on the one-worker row: the exact sweep
+	// spreads its 601 points over every worker while the adaptive refine
+	// loop mostly solves one anchor at a time, so the ratio at more
+	// workers falls with the machine's core count, not the algorithm.
+	// The recycling check stays on the widest column, where it has
+	// always run.
 	adaptiveRows := func() []benchAdaptiveRow {
 		const wires = 256
-		w := workerCols[len(workerCols)-1]
 		lay, segs, port, shorts := benchLoopBus(wires)
 		freqs := fasthenry.LogSpace(1e8, 1e11, 601) // 200 pts/decade over 3 decades
 		const tol = 1e-7                            // fit tolerance well under the 1e-6 deviation budget
-		mkSweep := func(sm sweep.Mode, recycle int) *fasthenry.Solver {
+		runSweep := func(sm sweep.Mode, recycle, w int) ([]fasthenry.Point, float64) {
 			o := opts
 			o.Mode = fasthenry.ModeIterative
 			o.Workers = w
@@ -291,15 +298,11 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s
-		}
-		runSweep := func(sm sweep.Mode, recycle int) ([]fasthenry.Point, float64) {
-			s := mkSweep(sm, recycle)
 			s.OperatorStats() // exclude the lazy operator build from sweep time
 			t0 := time.Now()
 			pts, err := s.SweepParallel(freqs, w)
 			if err != nil {
-				t.Fatalf("adaptive bench sweep (%v, recycle %d): %v", sm, recycle, err)
+				t.Fatalf("adaptive bench sweep (%v, recycle %d, w=%d): %v", sm, recycle, w, err)
 			}
 			return pts, time.Since(t0).Seconds()
 		}
@@ -313,39 +316,43 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 			return
 		}
 
-		exactPts, exactSec := runSweep(sweep.ModeExact, 0)
-		adPts, adSec := runSweep(sweep.ModeAdaptive, 0)
-		warmPts, _ := runSweep(sweep.ModeAdaptive, -1)
+		var out []benchAdaptiveRow
+		for _, w := range workerCols {
+			exactPts, exactSec := runSweep(sweep.ModeExact, 0, w)
+			adPts, adSec := runSweep(sweep.ModeAdaptive, 0, w)
+			warmPts, _ := runSweep(sweep.ModeAdaptive, -1, w)
 
-		_, exactIters := anchorStats(exactPts)
-		anchors, recIters := anchorStats(adPts)
-		warmAnchors, warmIters := anchorStats(warmPts)
-		row := benchAdaptiveRow{
-			Wires: wires, Filaments: wires * opts.NW * opts.NT, Workers: w,
-			SweepPoints: len(freqs), SweepTol: tol,
-			ExactSweepSec: exactSec, AdaptiveSweepSec: adSec,
-			SpeedupX:        exactSec / adSec,
-			Anchors:         anchors,
-			MaxRelErr:       maxRelErrPts(adPts, exactPts),
-			ExactTotalIters: exactIters, RecycledIters: recIters,
-			MeanItersRecycled: float64(recIters) / float64(anchors),
-			MeanItersWarmOnly: float64(warmIters) / float64(warmAnchors),
-		}
-		t.Logf("adaptive %d fils %d pts w=%d: exact %.2fs, adaptive %.2fs (%.1fx), %d anchors, err %.2g, mean iters %.1f recycled vs %.1f warm-only",
-			row.Filaments, row.SweepPoints, w, exactSec, adSec, row.SpeedupX,
-			anchors, row.MaxRelErr, row.MeanItersRecycled, row.MeanItersWarmOnly)
+			_, exactIters := anchorStats(exactPts)
+			anchors, recIters := anchorStats(adPts)
+			warmAnchors, warmIters := anchorStats(warmPts)
+			row := benchAdaptiveRow{
+				Wires: wires, Filaments: wires * opts.NW * opts.NT, Workers: w,
+				SweepPoints: len(freqs), SweepTol: tol,
+				ExactSweepSec: exactSec, AdaptiveSweepSec: adSec,
+				SpeedupX:        exactSec / adSec,
+				Anchors:         anchors,
+				MaxRelErr:       maxRelErrPts(adPts, exactPts),
+				ExactTotalIters: exactIters, RecycledIters: recIters,
+				MeanItersRecycled: float64(recIters) / float64(anchors),
+				MeanItersWarmOnly: float64(warmIters) / float64(warmAnchors),
+			}
+			t.Logf("adaptive %d fils %d pts w=%d: exact %.2fs, adaptive %.2fs (%.1fx), %d anchors, err %.2g, mean iters %.1f recycled vs %.1f warm-only",
+				row.Filaments, row.SweepPoints, w, exactSec, adSec, row.SpeedupX,
+				anchors, row.MaxRelErr, row.MeanItersRecycled, row.MeanItersWarmOnly)
 
-		if row.SpeedupX < 5 {
-			t.Errorf("adaptive sweep only %.2fx faster than exact iterative (acceptance floor 5x)", row.SpeedupX)
+			if w == 1 && row.SpeedupX < 5 {
+				t.Errorf("adaptive sweep only %.2fx faster than exact iterative at one worker (acceptance floor 5x)", row.SpeedupX)
+			}
+			if row.MaxRelErr > 1e-6 {
+				t.Errorf("adaptive sweep at w=%d deviates from exact by %.3g (tolerance 1e-6)", w, row.MaxRelErr)
+			}
+			if w == workerCols[len(workerCols)-1] && row.MeanItersRecycled >= row.MeanItersWarmOnly {
+				t.Errorf("recycled GMRES mean anchor iters %.2f not below warm-start-only %.2f",
+					row.MeanItersRecycled, row.MeanItersWarmOnly)
+			}
+			out = append(out, row)
 		}
-		if row.MaxRelErr > 1e-6 {
-			t.Errorf("adaptive sweep deviates from exact by %.3g (tolerance 1e-6)", row.MaxRelErr)
-		}
-		if row.MeanItersRecycled >= row.MeanItersWarmOnly {
-			t.Errorf("recycled GMRES mean anchor iters %.2f not below warm-start-only %.2f",
-				row.MeanItersRecycled, row.MeanItersWarmOnly)
-		}
-		return []benchAdaptiveRow{row}
+		return out
 	}()
 
 	// Microstrip-over-plane benchmark: the shared mesh lowers the plane
@@ -437,7 +444,7 @@ func TestBenchFasthenrySnapshot(t *testing.T) {
 		Plane    []benchRow         `json:"microstrip_plane"`
 		Adaptive []benchAdaptiveRow `json:"adaptive_sweep"`
 	}{
-		Note:     "FastHenry loop-extraction sweep: dense complex LU vs flat-ACA GMRES vs nested-basis (H2) GMRES, per worker column (columns coincide when cpus=1); compressed modes are checked against the dense oracle where feasible; microstrip_plane runs the same three paths over a conductor plane lowered through the shared filament mesh (internal/mesh) at rising grid density (dense through plane_nw 32, flat and nested cross-checked at every size); adaptive_sweep compares the rational-interpolation sweep (recycled-GMRES anchors) against exact per-point iterative solves on a dense grid; regenerate with scripts/bench_fasthenry.sh",
+		Note:     "FastHenry loop-extraction sweep: dense complex LU vs flat-ACA GMRES vs nested-basis (H2) GMRES, per worker column (columns coincide when cpus=1); compressed modes are checked against the dense oracle where feasible; microstrip_plane runs the same three paths over a conductor plane lowered through the shared filament mesh (internal/mesh) at rising grid density (dense through plane_nw 32, flat and nested cross-checked at every size); adaptive_sweep compares the rational-interpolation sweep (recycled-GMRES anchors) against exact per-point iterative solves on a dense grid, per worker column, with the 5x floor asserted at workers=1; regenerate with scripts/bench_fasthenry.sh",
 		CPUs:     cpus,
 		Rows:     rows,
 		Plane:    planeRows,

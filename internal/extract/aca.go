@@ -166,6 +166,7 @@ func (o ACAOptions) eta() float64 {
 // term.
 type lowRankBlock struct {
 	rows, cols []int
+	r0, c0     int // cluster-order positions of rows[0] and cols[0]
 	u, v       []float64
 	k          int
 	level      int // cluster-tree depth the block was created at
@@ -233,91 +234,26 @@ func (c *CompressedL) Stats() CompressStats { return c.stats }
 
 // ApplyTo computes dst = L*x over real vectors. dst and x must not
 // alias and have length Dim.
-func (c *CompressedL) ApplyTo(dst, x []float64) {
-	if len(dst) != c.n || len(x) != c.n {
-		panic("extract: CompressedL ApplyTo dimension mismatch")
-	}
-	c.applyTo(dst, x)
-	t := make([]float64, c.maxK)
-	for bi := range c.far {
-		b := &c.far[bi]
-		m, n := len(b.rows), len(b.cols)
-		// dst[rows] += U (Vᵀ x[cols]); dst[cols] += V (Uᵀ x[rows]).
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			s := 0.0
-			for j, cj := range b.cols {
-				s += vk[j] * x[cj]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			tk := t[k]
-			for a, ri := range b.rows {
-				dst[ri] += uk[a] * tk
-			}
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			s := 0.0
-			for a, ri := range b.rows {
-				s += uk[a] * x[ri]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			tk := t[k]
-			for j, cj := range b.cols {
-				dst[cj] += vk[j] * tk
-			}
-		}
-	}
-}
+func (c *CompressedL) ApplyTo(dst, x []float64) { c.applyR(c, dst, x) }
 
 // ApplyCTo computes dst = L*x over complex vectors (the factors are
 // real; the FastHenry branch-impedance operator applies jωL to complex
 // currents). dst and x must not alias and have length Dim.
-func (c *CompressedL) ApplyCTo(dst, x []complex128) {
-	if len(dst) != c.n || len(x) != c.n {
-		panic("extract: CompressedL ApplyCTo dimension mismatch")
-	}
-	c.applyCTo(dst, x)
-	t := make([]complex128, c.maxK)
+func (c *CompressedL) ApplyCTo(dst, x []complex128) { c.applyC(c, dst, x) }
+
+// applyFar adds each far block applied both ways:
+// y[rows] += U (Vᵀ x[cols]) and y[cols] += V (Uᵀ x[rows]).
+func (c *CompressedL) applyFar(w *applyWork) {
 	for bi := range c.far {
 		b := &c.far[bi]
-		m, n := len(b.rows), len(b.cols)
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			var s complex128
-			for j, cj := range b.cols {
-				s += complex(vk[j], 0) * x[cj]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			tk := t[k]
-			for a, ri := range b.rows {
-				dst[ri] += complex(uk[a], 0) * tk
-			}
-		}
-		for k := 0; k < b.k; k++ {
-			uk := b.u[k*m : (k+1)*m]
-			var s complex128
-			for a, ri := range b.rows {
-				s += complex(uk[a], 0) * x[ri]
-			}
-			t[k] = s
-		}
-		for k := 0; k < b.k; k++ {
-			vk := b.v[k*n : (k+1)*n]
-			tk := t[k]
-			for j, cj := range b.cols {
-				dst[cj] += complex(vk[j], 0) * tk
-			}
-		}
+		r1, c1 := b.r0+len(b.rows), b.c0+len(b.cols)
+		t := w.scratch.slice(0, b.k)
+		t.clear()
+		mulAdd(t, b.v, w.x.slice(b.c0, c1))
+		mulTAdd(w.y.slice(b.r0, r1), b.u, t)
+		t.clear()
+		mulAdd(t, b.u, w.x.slice(b.r0, r1))
+		mulTAdd(w.y.slice(b.c0, c1), b.v, t)
 	}
 }
 
@@ -368,6 +304,7 @@ func CompressL(elems []HElement, trees []*ElemTree, entry func(i, j int) float64
 	}
 	c.fillFar()
 	c.op.nearField = c.part.fillNear(c.entry, opt.Workers)
+	c.op.initWork(c.op.maxK)
 	c.finishStats()
 	return c.op
 }
@@ -391,8 +328,10 @@ func (c *compressor) fillFar() {
 		})
 		for i, r := range results {
 			if r.ok {
+				a, b := cands[i].a, cands[i].b
 				c.op.far = append(c.op.far, lowRankBlock{
-					rows: cands[i].a.Elems, cols: cands[i].b.Elems,
+					rows: a.Elems, cols: b.Elems,
+					r0: c.part.start[a], c0: c.part.start[b],
 					u: r.u, v: r.v, k: r.k, level: cands[i].level,
 				})
 				c.op.maxK = max(c.op.maxK, r.k)

@@ -116,11 +116,14 @@ type h2node struct {
 	u []float64
 	k int
 	// off is the node's offset into the matvec workspace (-1 without a
-	// basis).
-	off int
+	// basis); lo is the cluster-order position of t.Elems[0].
+	off, lo int
 }
 
 func (nd *h2node) hasBasis() bool { return nd.need && !nd.failed }
+
+// coef returns the node's skeleton coefficients within a workspace.
+func (nd *h2node) coef(v cvec) cvec { return v.slice(nd.off, nd.off+nd.k) }
 
 // h2coupling is one admissible interaction: the k_a x k_b block
 // A(skel_a, skel_b), row-major.
@@ -148,60 +151,36 @@ var _ LOperator = (*H2L)(nil)
 func (h *H2L) Stats() CompressStats { return h.stats }
 
 // ApplyTo computes dst = L*x over real vectors (no aliasing).
-func (h *H2L) ApplyTo(dst, x []float64) {
-	if len(dst) != h.n || len(x) != h.n {
-		panic("extract: H2L ApplyTo dimension mismatch")
-	}
-	h.applyTo(dst, x)
-	xhat := make([]float64, h.wsize)
-	yhat := make([]float64, h.wsize)
+func (h *H2L) ApplyTo(dst, x []float64) { h.applyR(h, dst, x) }
+
+// ApplyCTo computes dst = L*x over complex vectors (no aliasing).
+func (h *H2L) ApplyCTo(dst, x []complex128) { h.applyC(h, dst, x) }
+
+// applyFar adds the couplings in three phases over the skeleton
+// coefficients: upward restriction of x, the couplings applied both
+// ways, and downward prolongation into y.
+func (h *H2L) applyFar(w *applyWork) {
+	w.scratch.clear()
+	xhat, yhat := w.scratch.slice(0, h.wsize), w.scratch.slice(h.wsize, 2*h.wsize)
 	// Upward: children before parents, so a transfer reads finished
 	// child coefficients.
 	for _, nd := range h.nodes {
 		if nd.off < 0 || nd.k == 0 {
 			continue
 		}
-		out := xhat[nd.off : nd.off+nd.k]
+		out := nd.coef(xhat)
 		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				xi := x[ei]
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				for c, uv := range row {
-					out[c] += uv * xi
-				}
-			}
+			mulTAdd(out, nd.u, w.x.slice(nd.lo, nd.lo+len(nd.t.Elems)))
 			continue
 		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cx := xhat[ch.off : ch.off+ch.k]
-			for _, xv := range cx {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				for c, uv := range row {
-					out[c] += uv * xv
-				}
-				r++
-			}
-		}
+		split := nd.left.k * nd.k
+		mulTAdd(out, nd.u[:split], nd.left.coef(xhat))
+		mulTAdd(out, nd.u[split:], nd.right.coef(xhat))
 	}
 	// Interaction: each coupling applied both ways.
 	for ci := range h.coups {
 		cp := &h.coups[ci]
-		ka, kb := cp.a.k, cp.b.k
-		xa := xhat[cp.a.off : cp.a.off+ka]
-		xb := xhat[cp.b.off : cp.b.off+kb]
-		ya := yhat[cp.a.off : cp.a.off+ka]
-		yb := yhat[cp.b.off : cp.b.off+kb]
-		for p := 0; p < ka; p++ {
-			row := cp.s[p*kb : (p+1)*kb]
-			s := 0.0
-			xp := xa[p]
-			for q, sv := range row {
-				s += sv * xb[q]
-				yb[q] += sv * xp
-			}
-			ya[p] += s
-		}
+		symAdd(cp.a.coef(yhat), cp.b.coef(yhat), cp.s, cp.a.coef(xhat), cp.b.coef(xhat))
 	}
 	// Downward: parents before children.
 	for i := len(h.nodes) - 1; i >= 0; i-- {
@@ -209,118 +188,14 @@ func (h *H2L) ApplyTo(dst, x []float64) {
 		if nd.off < 0 || nd.k == 0 {
 			continue
 		}
-		in := yhat[nd.off : nd.off+nd.k]
+		in := nd.coef(yhat)
 		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				s := 0.0
-				for c, uv := range row {
-					s += uv * in[c]
-				}
-				dst[ei] += s
-			}
+			mulAdd(w.y.slice(nd.lo, nd.lo+len(nd.t.Elems)), nd.u, in)
 			continue
 		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cy := yhat[ch.off : ch.off+ch.k]
-			for j := range cy {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				s := 0.0
-				for c, uv := range row {
-					s += uv * in[c]
-				}
-				cy[j] += s
-				r++
-			}
-		}
-	}
-}
-
-// ApplyCTo computes dst = L*x over complex vectors (no aliasing).
-func (h *H2L) ApplyCTo(dst, x []complex128) {
-	if len(dst) != h.n || len(x) != h.n {
-		panic("extract: H2L ApplyCTo dimension mismatch")
-	}
-	h.applyCTo(dst, x)
-	xhat := make([]complex128, h.wsize)
-	yhat := make([]complex128, h.wsize)
-	for _, nd := range h.nodes {
-		if nd.off < 0 || nd.k == 0 {
-			continue
-		}
-		out := xhat[nd.off : nd.off+nd.k]
-		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				xi := x[ei]
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				for c, uv := range row {
-					out[c] += complex(uv, 0) * xi
-				}
-			}
-			continue
-		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cx := xhat[ch.off : ch.off+ch.k]
-			for _, xv := range cx {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				for c, uv := range row {
-					out[c] += complex(uv, 0) * xv
-				}
-				r++
-			}
-		}
-	}
-	for ci := range h.coups {
-		cp := &h.coups[ci]
-		ka, kb := cp.a.k, cp.b.k
-		xa := xhat[cp.a.off : cp.a.off+ka]
-		xb := xhat[cp.b.off : cp.b.off+kb]
-		ya := yhat[cp.a.off : cp.a.off+ka]
-		yb := yhat[cp.b.off : cp.b.off+kb]
-		for p := 0; p < ka; p++ {
-			row := cp.s[p*kb : (p+1)*kb]
-			var s complex128
-			xp := xa[p]
-			for q, sv := range row {
-				cv := complex(sv, 0)
-				s += cv * xb[q]
-				yb[q] += cv * xp
-			}
-			ya[p] += s
-		}
-	}
-	for i := len(h.nodes) - 1; i >= 0; i-- {
-		nd := h.nodes[i]
-		if nd.off < 0 || nd.k == 0 {
-			continue
-		}
-		in := yhat[nd.off : nd.off+nd.k]
-		if nd.left == nil {
-			for a, ei := range nd.t.Elems {
-				row := nd.u[a*nd.k : (a+1)*nd.k]
-				var s complex128
-				for c, uv := range row {
-					s += complex(uv, 0) * in[c]
-				}
-				dst[ei] += s
-			}
-			continue
-		}
-		r := 0
-		for _, ch := range [2]*h2node{nd.left, nd.right} {
-			cy := yhat[ch.off : ch.off+ch.k]
-			for j := range cy {
-				row := nd.u[r*nd.k : (r+1)*nd.k]
-				var s complex128
-				for c, uv := range row {
-					s += complex(uv, 0) * in[c]
-				}
-				cy[j] += s
-				r++
-			}
-		}
+		split := nd.left.k * nd.k
+		mulAdd(nd.left.coef(yhat), nd.u[:split], in)
+		mulAdd(nd.right.coef(yhat), nd.u[split:], in)
 	}
 }
 
@@ -458,6 +333,7 @@ func CompressLH2(elems []HElement, trees []*ElemTree, entry func(i, j int) float
 	b.resolveCouplings()
 	b.op.nearField = b.part.fillNear(b.entry, opt.Workers)
 	b.assignOffsets()
+	b.op.initWork(2 * b.op.wsize)
 	b.finishStats()
 	return b.op
 }
@@ -779,10 +655,12 @@ func (b *h2builder) resolveCouplings() {
 }
 
 // assignOffsets lays the per-node skeleton coefficients out in one flat
-// workspace and publishes the node order to the operator.
+// workspace, records each node's cluster-order position, and publishes
+// the node order to the operator.
 func (b *h2builder) assignOffsets() {
 	off := 0
 	for _, nd := range b.nodes {
+		nd.lo = b.part.start[nd.t]
 		if nd.hasBasis() {
 			nd.off = off
 			off += nd.k

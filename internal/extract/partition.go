@@ -2,6 +2,7 @@ package extract
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,6 +23,11 @@ import (
 // consumes the far list as ACA candidates and hands pairs whose ACA
 // fails back to subdivide; the nested builder consumes the same list as
 // coupling candidates and partner lists.
+//
+// The partition also numbers the elements once in cluster-tree order
+// (perm): every tree node's elements then occupy one contiguous range of
+// positions, so the apply kernels (apply.go) address each block as a
+// range instead of through an index list per entry.
 
 // nodeBounds is the cached geometry of one cluster-tree node.
 type nodeBounds struct {
@@ -96,6 +102,11 @@ type blockPartition struct {
 	elems  []HElement
 	eta    float64
 	bounds map[*ElemTree]nodeBounds
+	// perm[p] is the element at cluster-order position p; node t holds
+	// positions start[t] through start[t]+len(t.Elems)-1, in t.Elems
+	// order.
+	perm  []int
+	start map[*ElemTree]int
 
 	diag []*ElemTree    // leaf clusters: dense diagonal blocks
 	near [][2]*ElemTree // inadmissible leaf pairs: dense off-diagonal blocks
@@ -113,11 +124,46 @@ type farPair struct {
 // partitioned against itself (cross-direction tree pairs couple
 // nothing and are skipped entirely).
 func partition(elems []HElement, trees []*ElemTree, eta float64) *blockPartition {
-	p := &blockPartition{elems: elems, eta: eta, bounds: make(map[*ElemTree]nodeBounds)}
+	p := &blockPartition{
+		elems: elems, eta: eta,
+		bounds: make(map[*ElemTree]nodeBounds),
+		start:  make(map[*ElemTree]int),
+	}
+	for _, t := range trees {
+		p.number(t)
+	}
+	seen := make([]bool, len(elems))
+	for _, i := range p.perm {
+		if seen[i] {
+			panic("extract: cluster trees list an element twice")
+		}
+		seen[i] = true
+	}
+	if len(p.perm) != len(elems) {
+		panic("extract: cluster trees do not cover every element")
+	}
 	for _, t := range trees {
 		p.visitSelf(t)
 	}
 	return p
+}
+
+// number appends t's elements to the cluster order, leaves left to
+// right. A non-leaf's element list must be its children's
+// concatenation (as ElemTreesFromClusters builds it) for the node to
+// own one contiguous range.
+func (p *blockPartition) number(t *ElemTree) {
+	lo := len(p.perm)
+	p.start[t] = lo
+	if t.Left == nil {
+		p.perm = append(p.perm, t.Elems...)
+		return
+	}
+	p.number(t.Left)
+	p.number(t.Right)
+	if !slices.Equal(t.Elems, p.perm[lo:]) {
+		panic("extract: cluster-tree node elements are not its children's concatenation")
+	}
 }
 
 // takeFar returns the admissible pairs found so far and clears the
@@ -234,6 +280,7 @@ func parallelItems(workers, n int, fn func(i int)) {
 // blocks rows and cols are the same slice.
 type denseBlock struct {
 	rows, cols []int
+	r0, c0     int       // cluster-order positions of rows[0] and cols[0]
 	v          []float64 // len(rows) x len(cols), row-major
 }
 
@@ -247,13 +294,17 @@ type DiagBlock struct {
 
 // nearField is the exact part of a compressed operator: the dense
 // diagonal leaf blocks and off-diagonal near blocks, and the element →
-// diagonal-block index for O(1) Diag lookups. Both operators embed it.
+// diagonal-block index for O(1) Diag lookups. It also carries what
+// every apply needs (apply.go): the cluster order and a pool of
+// workspaces. Both operators embed it.
 type nearField struct {
 	n          int
 	diag, near []denseBlock
 	// elemBlock/elemPos locate each element's diagonal block.
 	elemBlock, elemPos []int32
-	evals              int // kernel entries evaluated into the blocks
+	evals              int        // kernel entries evaluated into the blocks
+	perm               []int      // the partition's cluster order
+	work               *sync.Pool // of *applyWork, sized by initWork
 }
 
 // fillNear evaluates the partition's diagonal and near blocks
@@ -261,7 +312,7 @@ type nearField struct {
 // only on its own index lists and lands at its partition position, so
 // the result is identical at every worker count.
 func (p *blockPartition) fillNear(entry func(i, j int) float64, workers int) nearField {
-	f := nearField{n: len(p.elems)}
+	f := nearField{n: len(p.elems), perm: p.perm}
 	f.diag = make([]denseBlock, len(p.diag))
 	parallelItems(workers, len(p.diag), func(bi int) {
 		idx := p.diag[bi].Elems
@@ -275,11 +326,13 @@ func (p *blockPartition) fillNear(entry func(i, j int) float64, workers int) nea
 				v[c*n+a] = e
 			}
 		}
-		f.diag[bi] = denseBlock{rows: idx, cols: idx, v: v}
+		r0 := p.start[p.diag[bi]]
+		f.diag[bi] = denseBlock{rows: idx, cols: idx, r0: r0, c0: r0, v: v}
 	})
 	f.near = make([]denseBlock, len(p.near))
 	parallelItems(workers, len(p.near), func(bi int) {
-		rows, cols := p.near[bi][0].Elems, p.near[bi][1].Elems
+		ta, tb := p.near[bi][0], p.near[bi][1]
+		rows, cols := ta.Elems, tb.Elems
 		m, n := len(rows), len(cols)
 		v := make([]float64, m*n)
 		for a, i := range rows {
@@ -287,7 +340,7 @@ func (p *blockPartition) fillNear(entry func(i, j int) float64, workers int) nea
 				v[a*n+c] = entry(i, j)
 			}
 		}
-		f.near[bi] = denseBlock{rows: rows, cols: cols, v: v}
+		f.near[bi] = denseBlock{rows: rows, cols: cols, r0: p.start[ta], c0: p.start[tb], v: v}
 	})
 	f.elemBlock = make([]int32, f.n)
 	f.elemPos = make([]int32, f.n)
@@ -323,77 +376,6 @@ func (f *nearField) DiagBlocks() []DiagBlock {
 		out[i] = DiagBlock{Idx: b.rows, V: b.v}
 	}
 	return out
-}
-
-// applyTo sets dst = (diagonal + near blocks) * x over real vectors,
-// each near block applied both ways. Callers check dimensions.
-func (f *nearField) applyTo(dst, x []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for bi := range f.diag {
-		b := &f.diag[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			s := 0.0
-			for bidx, v := range row {
-				s += v * x[b.cols[bidx]]
-			}
-			dst[i] += s
-		}
-	}
-	for bi := range f.near {
-		b := &f.near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			s := 0.0
-			for bidx, v := range row {
-				s += v * x[b.cols[bidx]]
-			}
-			dst[i] += s
-			// Transpose side: dst[cols] += row * x[i].
-			xi := x[i]
-			for bidx, v := range row {
-				dst[b.cols[bidx]] += v * xi
-			}
-		}
-	}
-}
-
-// applyCTo is applyTo over complex vectors (the blocks are real).
-func (f *nearField) applyCTo(dst, x []complex128) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for bi := range f.diag {
-		b := &f.diag[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			var s complex128
-			for bidx, v := range row {
-				s += complex(v, 0) * x[b.cols[bidx]]
-			}
-			dst[i] += s
-		}
-	}
-	for bi := range f.near {
-		b := &f.near[bi]
-		nc := len(b.cols)
-		for a, i := range b.rows {
-			row := b.v[a*nc : (a+1)*nc]
-			var s complex128
-			xi := x[i]
-			for bidx, v := range row {
-				cv := complex(v, 0)
-				s += cv * x[b.cols[bidx]]
-				dst[b.cols[bidx]] += cv * xi
-			}
-			dst[i] += s
-		}
-	}
 }
 
 // emitUpper passes an entry to fn with its indices ordered i < j.

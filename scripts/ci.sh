@@ -53,6 +53,16 @@ fi
 echo "== race detector (matrix, geom, extract, fasthenry, sim, engine, serve, grid, sweep, mesh)"
 go test -race ./internal/matrix ./internal/geom ./internal/extract ./internal/fasthenry ./internal/sim ./internal/engine ./internal/serve ./internal/grid ./internal/sweep ./internal/mesh
 
+# The compressed operators hand each apply a pooled workspace; eight
+# goroutines sharing one operator must still match the serial apply
+# bit for bit, repeated so the race detector sees many interleavings.
+echo "== race detector, repeated (shared compressed-operator apply)"
+go test -race -count=10 -run '^TestLOperatorApplyConcurrent$' ./internal/fasthenry
+
+# Keep the apply benchmark building and running (one iteration each).
+echo "== apply benchmark smoke"
+go test -run '^$' -bench LOperatorApply -benchtime 1x ./internal/fasthenry
+
 # No new mutable package-level tuning state: process-wide Set* switches
 # are frozen to the three deprecated shims (matrix.SetWorkers,
 # sim.SetSparseThreshold, extract.SetKernelCache), and no solver carries
